@@ -2,12 +2,17 @@
 // structures and hot paths everything else stands on.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <optional>
+#include <thread>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "demand/demand_model.hpp"
 #include "demand/demand_table.hpp"
+#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "replication/summary_vector.hpp"
 #include "replication/write_log.hpp"
@@ -267,6 +272,84 @@ void BM_WireEncodeDecodePush(benchmark::State& state) {
                           static_cast<std::int64_t>(encode_frame(3, m).size()));
 }
 BENCHMARK(BM_WireEncodeDecodePush)->Arg(1)->Arg(64);
+
+/// One end of a connected loopback TCP pair plus the accepted other end.
+struct LoopbackPair {
+  TcpConnection sender;
+  TcpConnection receiver;
+};
+
+std::optional<LoopbackPair> make_loopback_pair() {
+  try {
+    TcpListener listener = TcpListener::bind_loopback(0);
+    LoopbackPair pair;
+    pair.sender = TcpConnection::connect("127.0.0.1", listener.port());
+    for (int i = 0; i < 200; ++i) {
+      if (auto accepted = listener.accept()) {
+        pair.receiver = std::move(*accepted);
+        return pair;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  } catch (const TransportError&) {
+  }
+  return std::nullopt;
+}
+
+/// Sends a turn's worth of frames (16 frames of 45 B, the live path's mean
+/// frame size) from one end of a loopback pair and reads them at the other.
+/// `batched` queues all 16 and flushes once, as ReplicaServer does per peer
+/// per loop turn; otherwise each frame is flushed on its own, one send(2)
+/// per frame. The receive side costs the same in both: the bytes are in the
+/// socket buffer before it reads, so one recv takes them all.
+void run_loopback_flush(benchmark::State& state, bool batched) {
+  std::optional<LoopbackPair> pair = make_loopback_pair();
+  if (!pair) {
+    state.SkipWithError("loopback networking unavailable");
+    return;
+  }
+  constexpr std::size_t kFrames = 16;
+  constexpr std::size_t kFrameBytes = 45;
+  Rng rng(11);
+  std::vector<std::uint8_t> frame(kFrameBytes);
+  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.index(256));
+  std::vector<std::uint8_t> received;
+  received.reserve(kFrames * kFrameBytes);
+  for (auto _ : state) {
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      pair->sender.queue(frame);
+      if (!batched && pair->sender.flush() == IoStatus::error) {
+        state.SkipWithError("send failed");
+        return;
+      }
+    }
+    while (pair->sender.flush() == IoStatus::would_block) {
+    }
+    received.clear();
+    while (received.size() < kFrames * kFrameBytes) {
+      if (pair->receiver.read_available(received) == IoStatus::error) {
+        state.SkipWithError("recv failed");
+        return;
+      }
+    }
+    benchmark::DoNotOptimize(received.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kFrames));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kFrames * kFrameBytes));
+}
+
+void BM_LoopbackFlushPerFrame(benchmark::State& state) {
+  run_loopback_flush(state, /*batched=*/false);
+}
+BENCHMARK(BM_LoopbackFlushPerFrame);
+
+void BM_LoopbackFlushBatched(benchmark::State& state) {
+  run_loopback_flush(state, /*batched=*/true);
+}
+BENCHMARK(BM_LoopbackFlushBatched);
 
 void BM_FastPushChain(benchmark::State& state) {
   // Offer/ack/data across a demand gradient line of engines.

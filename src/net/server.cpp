@@ -1,7 +1,5 @@
 #include "net/server.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -171,27 +169,30 @@ double ReplicaServer::now_units() const {
   return seconds / config_.seconds_per_unit;
 }
 
-void ReplicaServer::write(std::string key, std::string value) {
+void ReplicaServer::submit(Command command) {
+  bool was_empty = false;
   {
     const MutexLock lock(command_mutex_);
-    commands_.push_back([key = std::move(key), value = std::move(value)](
-                            ReplicaEngine& engine, double now,
-                            std::vector<Outbound>& outs) mutable {
-      engine.local_write(std::move(key), std::move(value), now, outs);
-    });
+    was_empty = commands_.empty();
+    commands_.push_back(std::move(command));
   }
-  wake_.wake();
+  // Only the push that makes the queue non-empty wakes the loop; see the
+  // swap in run_engine_turn for why the pushes behind it need no wake.
+  if (was_empty) wake_.wake();
+}
+
+void ReplicaServer::write(std::string key, std::string value) {
+  submit([key = std::move(key), value = std::move(value)](
+             ReplicaEngine& engine, double now,
+             std::vector<Outbound>& outs) mutable {
+    engine.local_write(std::move(key), std::move(value), now, outs);
+  });
 }
 
 void ReplicaServer::set_demand(double demand) {
-  {
-    const MutexLock lock(command_mutex_);
-    commands_.push_back(
-        [demand](ReplicaEngine& engine, double, std::vector<Outbound>&) {
-          engine.set_own_demand(demand);
-        });
-  }
-  wake_.wake();
+  submit([demand](ReplicaEngine& engine, double, std::vector<Outbound>&) {
+    engine.set_own_demand(demand);
+  });
 }
 
 std::optional<std::string> ReplicaServer::read(const std::string& key) const {
@@ -259,16 +260,23 @@ PeerNetStats& ReplicaServer::peer_stats_entry(NodeId peer) {
 }
 
 double ReplicaServer::run_engine_turn(std::vector<Outbound>& outs) {
-  std::vector<std::function<void(ReplicaEngine&, double, std::vector<Outbound>&)>>
-      pending;
   {
+    // Wakes are coalesced: submit() writes a wake byte only when its push
+    // makes the queue non-empty. No command is stranded by that. Every
+    // command queued here was pushed after the previous swap, and the first
+    // of those pushes found the queue empty and wrote a byte after pushing.
+    // That byte is either still in the pipe, so the next poll returns at
+    // once, or a poll_once drained it after the push; either way a swap
+    // follows that poll (the loop never polls twice without one) and takes
+    // every command pushed before it.
     const MutexLock lock(command_mutex_);
-    pending.swap(commands_);
+    command_batch_.swap(commands_);
   }
   const ProtocolConfig& proto = config_.protocol;
   const MutexLock lock(engine_mutex_);
   const double command_now = now_units();
-  for (auto& command : pending) command(*engine_, command_now, outs);
+  for (Command& command : command_batch_) command(*engine_, command_now, outs);
+  command_batch_.clear();
 
   const double now = now_units();
   if (now >= next_session_units_) {
@@ -424,10 +432,6 @@ void ReplicaServer::finish_connect(PeerLink& link) {
     stats.connected = true;
     stats.current_backoff_seconds = link.backoff_seconds;
   }
-  if (link.connection.flush() == IoStatus::error) {
-    drop_connection(link, /*was_established=*/true);
-    return;
-  }
   pump_outbox(link);
 }
 
@@ -441,35 +445,31 @@ void ReplicaServer::pump_outbox(PeerLink& link) {
       64 * 1024, config_.max_peer_outbox_bytes / 4);
   while (!link.pending.empty() &&
          link.connection.pending_output_bytes() < watermark) {
-    PeerLink::QueuedFrame frame = std::move(link.pending.front());
+    link.connection.queue(link.pending.front().bytes);
+    link.pending_bytes -= link.pending.front().bytes.size();
     link.pending.pop_front();
-    link.pending_bytes -= frame.bytes.size();
-    if (link.connecting) {
-      // Handshake still in flight; buffer until writability resolves it.
-      link.connection.queue(frame.bytes);
-    } else if (link.connection.send(frame.bytes) == IoStatus::error) {
-      drop_connection(link, /*was_established=*/true);
-      return;
-    }
+  }
+  // Handshake still in flight: the bytes wait until writability resolves
+  // it. Otherwise everything staged leaves in one flush, one send(2) unless
+  // the kernel takes only part of it.
+  if (link.connecting || !link.connection.has_pending_output()) return;
+  if (link.connection.flush() == IoStatus::error) {
+    drop_connection(link, /*was_established=*/true);
   }
 }
 
-void ReplicaServer::enqueue_frame(NodeId peer, std::vector<std::uint8_t> frame,
+void ReplicaServer::enqueue_frame(PeerLink& link,
+                                  std::vector<std::uint8_t> frame,
                                   bool sheddable) {
-  const auto it = peer_links_.find(peer);
-  if (it == peer_links_.end()) return;
-  if (config_.outbound_fault && config_.outbound_fault(peer)) {
+  if (config_.outbound_fault && config_.outbound_fault(link.address.id)) {
     // Injected loss: drop before the link ever sees the frame, so the shim
     // exercises the same recovery path as a genuinely lossy network.
-    const MutexLock lock(net_mutex_);
-    ++peer_stats_entry(peer).frames_dropped;
+    ++link.tally.frames_dropped;
     return;
   }
-  PeerLink& link = it->second;
   if (!ensure_connection(link)) {
     // Weak consistency tolerates message loss: the next session retries.
-    const MutexLock lock(net_mutex_);
-    ++peer_stats_entry(peer).frames_dropped;
+    ++link.tally.frames_dropped;
     return;
   }
   std::size_t buffered =
@@ -492,38 +492,54 @@ void ReplicaServer::enqueue_frame(NodeId peer, std::vector<std::uint8_t> frame,
       qit = link.pending.erase(qit);
     }
   }
+  link.tally.frames_shed += shed_frames;
   if (buffered + frame.size() > config_.max_peer_outbox_bytes) {
     // Still no room: the backlog is all control traffic (or the new frame
     // is enormous); drop the newcomer as before.
-    const MutexLock lock(net_mutex_);
-    PeerNetStats& stats = peer_stats_entry(peer);
-    ++stats.frames_dropped;
-    stats.frames_shed += shed_frames;
+    ++link.tally.frames_dropped;
     return;
   }
-  const std::size_t frame_size = frame.size();
+  ++link.tally.frames_sent;
+  link.tally.bytes_sent += frame.size();
+  link.pending_bytes += frame.size();
   link.pending.push_back(PeerLink::QueuedFrame{std::move(frame), sheddable});
-  link.pending_bytes += frame_size;
-  {
-    const MutexLock lock(net_mutex_);
-    PeerNetStats& stats = peer_stats_entry(peer);
-    ++stats.frames_sent;
-    stats.bytes_sent += frame_size;
-    stats.frames_shed += shed_frames;
-  }
-  pump_outbox(link);
 }
 
 void ReplicaServer::transmit(std::vector<Outbound>& outs) {
+  if (outs.empty()) return;
+  // Stage every frame first, so each link below sends its share of the
+  // turn in one flush instead of one send(2) per frame.
   for (Outbound& out : outs) {
+    const auto it = peer_links_.find(out.to);
+    if (it == peer_links_.end()) continue;
     const bool sheddable = is_sheddable_class(traffic_class_of(out.msg));
-    enqueue_frame(out.to, encode_frame(config_.self, out.msg), sheddable);
+    enqueue_frame(it->second, encode_frame(config_.self, out.msg), sheddable);
   }
   outs.clear();
+  {
+    const MutexLock lock(net_mutex_);
+    for (auto& [id, link] : peer_links_) {
+      const PeerLink::Tally& t = link.tally;
+      if (t.frames_sent == 0 && t.frames_dropped == 0) continue;
+      PeerNetStats& stats = peer_stats_entry(id);
+      stats.frames_sent += t.frames_sent;
+      stats.bytes_sent += t.bytes_sent;
+      stats.frames_dropped += t.frames_dropped;
+      stats.frames_shed += t.frames_shed;
+    }
+  }
+  for (auto& [id, link] : peer_links_) {
+    const bool staged = link.tally.frames_sent != 0;
+    link.tally = PeerLink::Tally{};
+    if (staged) pump_outbox(link);
+  }
 }
 
 void ReplicaServer::poll_once(int timeout_ms) {
-  std::vector<pollfd> fds;
+  std::vector<pollfd>& fds = poll_fds_;
+  std::vector<PeerLink*>& peer_order = poll_peers_;
+  fds.clear();
+  peer_order.clear();
   fds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
   fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
   const std::size_t inbound_base = fds.size();
@@ -531,13 +547,12 @@ void ReplicaServer::poll_once(int timeout_ms) {
     fds.push_back(pollfd{in.connection.fd(), POLLIN, 0});
   }
   const std::size_t peer_base = fds.size();
-  std::vector<NodeId> peer_order;
   for (auto& [id, link] : peer_links_) {
     if (link.connection.valid() &&
         (link.connecting || link.connection.has_pending_output() ||
          !link.pending.empty())) {
       fds.push_back(pollfd{link.connection.fd(), POLLOUT, 0});
-      peer_order.push_back(id);
+      peer_order.push_back(&link);
     }
   }
 
@@ -562,8 +577,9 @@ void ReplicaServer::poll_once(int timeout_ms) {
   // connections that were polled: the accept loop above can grow inbound_
   // beyond the fds we registered.
   const std::size_t polled_inbound = peer_base - inbound_base;
-  std::vector<WireFrame> frames;
-  std::vector<std::uint8_t> bytes;
+  std::vector<WireFrame>& frames = rx_frames_;
+  std::vector<std::uint8_t>& bytes = rx_bytes_;
+  frames.clear();
   std::uint64_t bytes_read = 0;
   std::uint64_t codec_errors = 0;
   std::uint64_t closed = 0;
@@ -607,14 +623,13 @@ void ReplicaServer::poll_once(int timeout_ms) {
   for (std::size_t i = 0; i < peer_order.size(); ++i) {
     const short revents = fds[peer_base + i].revents;
     if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
-    PeerLink& link = peer_links_[peer_order[i]];
+    PeerLink& link = *peer_order[i];
     if (!link.connection.valid()) continue;
     if (link.connecting) {
       finish_connect(link);
-    } else if (link.connection.flush() == IoStatus::error) {
-      drop_connection(link, /*was_established=*/true);
     } else {
-      // Socket drained below the watermark: staged frames can move down.
+      // Writable again: staged frames move down to the watermark and leave
+      // with the unsent rest in one flush.
       pump_outbox(link);
     }
   }
@@ -634,15 +649,14 @@ void ReplicaServer::poll_once(int timeout_ms) {
   // Decoded frames -> engine, in one lock scope; the replies go out after
   // the lock is released.
   if (!frames.empty()) {
-    std::vector<Outbound> outs;
     {
       const MutexLock lock(engine_mutex_);
       const double now = now_units();
       for (WireFrame& frame : frames) {
-        engine_->handle(frame.sender, std::move(frame.msg), now, outs);
+        engine_->handle(frame.sender, std::move(frame.msg), now, outs_);
       }
     }
-    transmit(outs);
+    transmit(outs_);
   }
 }
 
@@ -686,16 +700,15 @@ void ReplicaServer::flush_durability() {
 }
 
 void ReplicaServer::loop() {
-  std::vector<Outbound> outs;
   while (!stop_requested_.load()) {
     // Engine work under the lock (no I/O), then disk and socket I/O
     // unlocked. Updates applied by poll_once's frame dispatch are logged
     // here, at most one turn after their replies went out — a bounded
     // group-commit window whose loss a crash recovery re-fetches from the
     // peers that sent them.
-    const double next_deadline = run_engine_turn(outs);
+    const double next_deadline = run_engine_turn(outs_);
     flush_durability();
-    transmit(outs);
+    transmit(outs_);
     mirror_peer_health();
 
     const double wait_units = std::max(0.0, next_deadline - now_units());

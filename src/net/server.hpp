@@ -25,6 +25,8 @@
 #ifndef FASTCONS_NET_SERVER_HPP
 #define FASTCONS_NET_SERVER_HPP
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -257,12 +259,28 @@ class ReplicaServer {
     };
     std::deque<QueuedFrame> pending;
     std::size_t pending_bytes = 0;
+    /// This turn's counter deltas (frames staged, dropped, shed), folded
+    /// into peer_stats_ under one net_mutex_ acquisition per transmit().
+    struct Tally {
+      std::uint64_t frames_sent = 0;
+      std::uint64_t bytes_sent = 0;
+      std::uint64_t frames_dropped = 0;
+      std::uint64_t frames_shed = 0;
+    };
+    Tally tally;
   };
   struct Inbound {
     TcpConnection connection;
     FrameReader reader;
   };
 
+  /// A client call, run on the loop thread under engine_mutex_.
+  using Command =
+      std::function<void(ReplicaEngine&, double, std::vector<Outbound>&)>;
+
+  /// Queues `command` for the next engine turn, waking the loop only when
+  /// the queue was empty (see run_engine_turn).
+  void submit(Command command) EXCLUDES(command_mutex_);
   void loop() EXCLUDES(engine_mutex_, command_mutex_, net_mutex_);
   /// Runs queued commands and due timers under engine_mutex_, appending
   /// the engine's outbound messages to `outs`. No I/O. Returns the next
@@ -270,14 +288,18 @@ class ReplicaServer {
   double run_engine_turn(std::vector<Outbound>& outs)
       EXCLUDES(engine_mutex_, command_mutex_);
   double now_units() const;
-  /// Encodes and enqueues `outs` onto peer connections; performs socket
-  /// I/O, so it must not (and cannot, per the annotation) be called with
-  /// engine_mutex_ held.
+  /// Encodes and stages all of `outs`, folds the links' tallies into
+  /// peer_stats_ under one net_mutex_ acquisition, then pumps each link
+  /// that staged a frame once. Performs socket I/O, so it must not (and
+  /// cannot, per the annotation) be called with engine_mutex_ held.
   void transmit(std::vector<Outbound>& outs) EXCLUDES(engine_mutex_, net_mutex_);
-  void enqueue_frame(NodeId peer, std::vector<std::uint8_t> frame,
+  /// Stages one frame on `link` (connecting it if needed, shedding on
+  /// overflow) and counts the outcome in link.tally. Sends nothing.
+  void enqueue_frame(PeerLink& link, std::vector<std::uint8_t> frame,
                      bool sheddable) EXCLUDES(engine_mutex_, net_mutex_);
   /// Moves staged frames into the connection's byte outbox while it sits
-  /// below the feed watermark (frames past it stay sheddable in `pending`).
+  /// below the feed watermark (frames past it stay sheddable in `pending`),
+  /// then flushes the outbox once unless the connect is still in flight.
   void pump_outbox(PeerLink& link) EXCLUDES(engine_mutex_, net_mutex_);
   /// Starts a non-blocking connect if the link is down and its backoff
   /// window has elapsed. Returns true when the link has a usable
@@ -347,8 +369,7 @@ class ReplicaServer {
 
   WakePipe wake_;
   Mutex command_mutex_;
-  std::vector<std::function<void(ReplicaEngine&, double, std::vector<Outbound>&)>>
-      commands_ GUARDED_BY(command_mutex_);
+  std::vector<Command> commands_ GUARDED_BY(command_mutex_);
 
   // Counters shared between the loop thread (writer) and net_stats()
   // (reader): inbound/codec totals plus the per-peer link mirror.
@@ -358,6 +379,17 @@ class ReplicaServer {
 
   std::map<NodeId, PeerLink> peer_links_;  // loop thread only; keys fixed at start()
   std::vector<Inbound> inbound_;           // loop thread only
+
+  // Loop-thread scratch, reused across turns so a turn allocates nothing
+  // for its bookkeeping: the commands swapped out of commands_, the engine's
+  // outbound messages, poll's descriptor set and the links behind its POLLOUT
+  // entries, and the bytes and frames read this turn.
+  std::vector<Command> command_batch_;
+  std::vector<Outbound> outs_;
+  std::vector<pollfd> poll_fds_;
+  std::vector<PeerLink*> poll_peers_;  // into peer_links_; nodes never move
+  std::vector<std::uint8_t> rx_bytes_;
+  std::vector<WireFrame> rx_frames_;
   /// Reconnect-jitter stream, derived from the config seed so retry
   /// schedules are reproducible per server yet diverge between servers.
   /// Loop thread only (seeded in the constructor), like PeerLink.

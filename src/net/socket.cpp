@@ -134,6 +134,10 @@ IoStatus TcpConnection::read_available(std::vector<std::uint8_t>& out) {
     if (n > 0) {
       out.insert(out.end(), chunk, chunk + n);
       read_any = true;
+      // A short read took everything queued. Whatever arrives next (more
+      // bytes or EOF) is reported by the next level-triggered poll, so
+      // probing again here would only cost a recv that says EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(chunk)) return IoStatus::ok;
       continue;
     }
     if (n == 0) return IoStatus::closed;
@@ -209,7 +213,9 @@ void WakePipe::wake() noexcept {
 
 void WakePipe::drain() noexcept {
   std::uint8_t buf[256];
-  while (::read(read_end_.get(), buf, sizeof(buf)) > 0) {
+  // A short read emptied the pipe; only a full buffer can leave more.
+  while (::read(read_end_.get(), buf, sizeof(buf)) ==
+         static_cast<ssize_t>(sizeof(buf))) {
   }
 }
 

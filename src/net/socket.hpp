@@ -59,9 +59,10 @@ class TcpConnection {
   /// Appends to the outbound buffer and attempts to flush.
   IoStatus send(std::span<const std::uint8_t> bytes);
 
-  /// Appends to the outbound buffer WITHOUT attempting a flush. Used while
-  /// a non-blocking connect is still in progress: the bytes sit in the
-  /// outbox until writability reports the handshake outcome.
+  /// Appends to the outbound buffer WITHOUT attempting a flush. Queue a
+  /// batch, then flush() once, to send it in one syscall; while a
+  /// non-blocking connect is still in progress the bytes sit in the outbox
+  /// until writability reports the handshake outcome.
   void queue(std::span<const std::uint8_t> bytes);
 
   /// Flushes as much buffered output as the kernel accepts. Consumed bytes
@@ -81,8 +82,11 @@ class TcpConnection {
   /// established connection from an asynchronous connect failure.
   int pending_error() noexcept;
 
-  /// Reads whatever is available into `out` (appends). Returns would_block
-  /// when drained, closed on EOF.
+  /// Reads what is queued into `out` (appends). Stops after a read shorter
+  /// than its 16 KiB chunk, which drained the socket, so one call is one
+  /// recv unless 16 KiB or more arrived; EOF behind the data shows on the
+  /// next call. Returns ok when it read bytes, would_block when there were
+  /// none, closed on EOF.
   IoStatus read_available(std::vector<std::uint8_t>& out);
 
   /// Closes the socket and discards any unsent output.
@@ -133,7 +137,7 @@ class WakePipe {
   /// Signals the poll loop (async-signal-safe, thread-safe).
   void wake() noexcept;
 
-  /// Drains pending wake bytes.
+  /// Drains pending wake bytes; stops after a read shorter than its buffer.
   void drain() noexcept;
 
  private:

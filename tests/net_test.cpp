@@ -1,6 +1,7 @@
 // Real-socket integration tests. Environments without loopback networking
 // skip gracefully (GTEST_SKIP on bind failure).
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -81,13 +82,16 @@ TEST(SocketTest, InvalidAddressThrows) {
 }
 
 TEST(SocketTest, WakePipeWakesAndDrains) {
-  WakePipe pipe;
-  pipe.wake();
-  pipe.wake();
-  std::uint8_t buf[8];
-  // After draining, the read end is empty (non-blocking read returns <= 0).
-  pipe.drain();
-  EXPECT_LE(::read(pipe.read_fd(), buf, sizeof(buf)), 0);
+  // drain() reads 256 bytes at a time and stops after a short read, so a
+  // backlog of several full reads must still empty completely.
+  for (const int wakes : {2, 1000}) {
+    WakePipe pipe;
+    for (int i = 0; i < wakes; ++i) pipe.wake();
+    std::uint8_t buf[8];
+    // After draining, the read end is empty (non-blocking read returns <= 0).
+    pipe.drain();
+    EXPECT_LE(::read(pipe.read_fd(), buf, sizeof(buf)), 0) << wakes;
+  }
 }
 
 TEST(ServerTest, ConcurrentStopIsIdempotent) {
@@ -359,6 +363,111 @@ TEST(SocketTest, BackpressuredOutboxDeliversEverything) {
   }
 }
 
+// Accepts the pending half of a loopback connection, waiting for the
+// non-blocking handshake.
+std::optional<TcpConnection> accept_within(TcpListener& listener) {
+  std::optional<TcpConnection> accepted;
+  for (int i = 0; i < 200 && !accepted; ++i) {
+    accepted = listener.accept();
+    if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return accepted;
+}
+
+// Waits until `fd` is readable (data or EOF), at most one second.
+bool wait_readable(int fd) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, 1000) == 1;
+}
+
+// A few frames of each shape the live path sends.
+std::vector<std::vector<std::uint8_t>> sample_frames(std::size_t count) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto seq = static_cast<SeqNo>(i + 1);
+    Message msg;
+    switch (i % 4) {
+      case 0:
+        msg = FastOffer{i, {OfferedId{UpdateId{1, seq}, 0.5}}};
+        break;
+      case 1:
+        msg = FastAck{i, true, {UpdateId{1, seq}}};
+        break;
+      case 2:
+        msg = FastData{i, {Update{UpdateId{1, seq}, 0.5,
+                                  "k/" + std::to_string(i), "v"}}};
+        break;
+      default:
+        msg = DemandAdvert{static_cast<double>(i)};
+        break;
+    }
+    frames.push_back(encode_frame(static_cast<NodeId>(i % 3), msg));
+  }
+  return frames;
+}
+
+// Single-pass reads: a short read returns at once, and the EOF queued
+// behind the data shows on the next call instead of being probed for.
+TEST(SocketTest, ReadAvailableReturnsDataThenClosed) {
+  REQUIRE_LOOPBACK();
+  TcpListener listener = TcpListener::bind_loopback(0);
+  TcpConnection client = TcpConnection::connect("127.0.0.1", listener.port());
+  std::optional<TcpConnection> serverside = accept_within(listener);
+  ASSERT_TRUE(serverside.has_value());
+
+  std::vector<std::uint8_t> sent;
+  for (const auto& frame : sample_frames(3)) {
+    sent.insert(sent.end(), frame.begin(), frame.end());
+    client.queue(frame);
+  }
+  ASSERT_EQ(client.flush(), IoStatus::ok);
+  client.close();
+
+  ASSERT_TRUE(wait_readable(serverside->fd()));
+  std::vector<std::uint8_t> received;
+  EXPECT_EQ(serverside->read_available(received), IoStatus::ok);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(serverside->read_available(received), IoStatus::closed);
+  EXPECT_EQ(received, sent);
+}
+
+// The server's per-peer batching: frames queued on one connection leave
+// through a single flush() and arrive whole and in order.
+TEST(SocketTest, QueuedFramesLeaveInOneFlushAndDecodeInOrder) {
+  REQUIRE_LOOPBACK();
+  TcpListener listener = TcpListener::bind_loopback(0);
+  TcpConnection client = TcpConnection::connect("127.0.0.1", listener.port());
+  std::optional<TcpConnection> serverside = accept_within(listener);
+  ASSERT_TRUE(serverside.has_value());
+
+  const auto frames = sample_frames(32);
+  std::size_t total = 0;
+  for (const auto& frame : frames) {
+    client.queue(frame);
+    total += frame.size();
+  }
+  EXPECT_EQ(client.pending_output_bytes(), total);
+  ASSERT_EQ(client.flush(), IoStatus::ok);
+  EXPECT_FALSE(client.has_pending_output());
+
+  FrameReader reader;
+  std::vector<WireFrame> decoded;
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 200 && decoded.size() < frames.size(); ++i) {
+    ASSERT_TRUE(wait_readable(serverside->fd()));
+    bytes.clear();
+    ASSERT_EQ(serverside->read_available(bytes), IoStatus::ok);
+    reader.feed(bytes);
+    while (auto frame = reader.next()) decoded.push_back(std::move(*frame));
+  }
+  ASSERT_EQ(decoded.size(), frames.size());
+  EXPECT_EQ(reader.buffered(), 0u);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(encode_frame(decoded[i].sender, decoded[i].msg), frames[i])
+        << "frame " << i;
+  }
+}
+
 // ----------------------------------------------------------- arg parsing ----
 
 TEST(OptionsTest, ParsePeerAddressValid) {
@@ -611,6 +720,88 @@ TEST(ServerTest, NetStatsCountTraffic) {
   ASSERT_EQ(n0.peers.size(), 1u);
   EXPECT_TRUE(n0.peers[0].connected);
   EXPECT_EQ(n0.peers[0].peer, 1u);
+}
+
+// Coalesced wakes: write() and set_demand() wake the loop only when they
+// make the command queue non-empty. Four clients race each other and a
+// reader that takes engine_mutex_ in a tight loop. The timers are days
+// away, so an idle loop sleeps in poll for its full 50 ms cap: a lost wake
+// shows as a burst whose last write waits out that cap instead of landing
+// at once. Keys cycle over a small set so the engine's per-write cost stays
+// flat (and small under sanitizers); every write has a distinct value.
+TEST(ServerTest, CoalescedWakesLoseNoWrite) {
+  REQUIRE_LOOPBACK();
+  ServerConfig cfg;
+  cfg.self = 0;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.seconds_per_unit = 1e5;
+  ReplicaServer server(std::move(cfg));
+  server.start();
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) server.read("c0/0");
+  });
+
+  constexpr int kClients = 4;
+  constexpr int kWrites = 2000;
+  constexpr int kBurst = 100;
+  constexpr int kKeys = 64;
+  const auto key_of = [](int client, int i) {
+    return "c" + std::to_string(client) + "/" + std::to_string(i % kKeys);
+  };
+  std::vector<std::vector<double>> burst_ms(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &burst_ms, &key_of, c] {
+      for (int i = 0; i < kWrites; ++i) {
+        server.write(key_of(c, i), std::to_string(i));
+        if (i % 7 == 0) {
+          server.set_demand(static_cast<double>(c * kWrites + i));
+        }
+        if ((i + 1) % kBurst != 0) continue;
+        // The burst's last write must become readable with no later write
+        // of this client to wake the loop for it.
+        const auto t0 = std::chrono::steady_clock::now();
+        while (server.read(key_of(c, i)) != std::to_string(i) &&
+               std::chrono::steady_clock::now() - t0 <
+                   std::chrono::seconds(10)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+        burst_ms[c].push_back(std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  // Every write was applied (one update each) and every key holds the
+  // value of its client's last write to it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.summary().total() < std::uint64_t{kClients * kWrites} &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(server.summary().total(), std::uint64_t{kClients * kWrites});
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = kWrites - kKeys; i < kWrites; ++i) {
+      EXPECT_EQ(server.read(key_of(c, i)), std::to_string(i)) << key_of(c, i);
+    }
+  }
+  server.stop();
+
+  // A typical burst lands well inside one poll cap.
+  EmpiricalCdf waits;
+  for (const auto& per_client : burst_ms) {
+    for (const double ms : per_client) waits.add(ms);
+  }
+  ASSERT_EQ(waits.count(),
+            static_cast<std::size_t>(kClients * kWrites / kBurst));
+  EXPECT_LT(waits.quantile(0.5), 25.0);
 }
 
 // ------------------------------------------------------------- run_load ----
