@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "common/construction_cost.hpp"
 #include "common/error.hpp"
-#include "sim/timer_pool.hpp"
 
 namespace fastcons {
 
@@ -75,11 +74,14 @@ WorkloadResult run_workload(Graph topology,
   read_rngs.reserve(net.size());
   for (NodeId n = 0; n < net.size(); ++n) read_rngs.push_back(rng.split());
 
-  // Owns the read-process closures for the whole run; see
-  // sim/timer_pool.hpp for the ownership rules.
-  TimerPool timers;
+  // Owns the read-process closures for the whole run. A tick that
+  // reschedules itself must not own itself (a shared_ptr to its own
+  // std::function is a cycle that never frees), so scheduled events
+  // capture plain pointers into this vector, which is sized once and
+  // outlives the run.
+  std::vector<std::function<void()>> ticks(net.size());
   for (NodeId n = 0; n < net.size(); ++n) {
-    std::function<void()>* tick_ptr = timers.add();
+    std::function<void()>* tick_ptr = &ticks[n];
     const auto reschedule = [&sim, tick_ptr, &read_rngs, &net, n,
                              &workload](SimTime now) {
       const double rate = net.demand_now()[n];

@@ -2,14 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
+#include <ostream>
+#include <string_view>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
-#include "harness/registry.hpp"
 #include "stats/table.hpp"
 
 namespace fastcons::harness {
@@ -246,57 +244,22 @@ void print_scenario(const ScenarioResult& result, std::ostream& out) {
   out << "\n";
 }
 
-int legacy_bench_main(const std::vector<std::string>& scenario_names) {
-  try {
-    const ScenarioRegistry registry = builtin_registry();
-    RunOptions options;
-    options.jobs = static_cast<std::size_t>(env_u64("FASTCONS_JOBS", 0));
-    const std::uint64_t reps = env_u64("FASTCONS_REPS", 0);
-    if (reps != 0) options.trials = static_cast<std::size_t>(reps);
-
-    std::vector<ScenarioResult> results;
-    for (const std::string& name : scenario_names) {
-      results.push_back(run_scenario(registry.get(name), options));
-      print_scenario(results.back(), std::cout);
-      std::cout << "\n";
-    }
-
-    // Per-scenario files only: a stub run covers a slice of the registry,
-    // so it must not overwrite the all-scenario BENCH_RESULTS.json roll-up.
-    const char* env = std::getenv("FASTCONS_CSV_DIR");
-    const std::string dir = env != nullptr ? env : "bench_results";
-    if (!dir.empty()) {
-      for (const ScenarioResult& result : results) {
-        const std::string digest = write_scenario_file(result, dir);
-        std::cout << "results: " << dir << "/" << result.name
-                  << ".json (digest " << digest << ")\n";
-      }
-    }
-    std::cout << "note: this stub is superseded by `fastcons_bench`; see "
-                 "docs/experiments.md\n";
-
-    // The retired binaries exited nonzero when a paper check failed (fig4's
-    // session orders, sec2's cycle); preserve that contract for scripts and
-    // CI: any *matches_paper counter below its trial count fails the run.
-    for (const ScenarioResult& result : results) {
-      for (const PointResult& point : result.points) {
-        for (const auto& [name, value] : point.counters) {
-          if (name.size() >= 13 &&
-              name.compare(name.size() - 13, 13, "matches_paper") == 0 &&
-              value < point.trials) {
-            std::cerr << "MISMATCH: " << result.name << "/"
-                      << point.point.label << " " << name << " = " << value
-                      << "/" << point.trials << "\n";
-            return 1;
-          }
+std::vector<std::string> paper_mismatches(
+    const std::vector<ScenarioResult>& results) {
+  constexpr std::string_view kSuffix = "matches_paper";
+  std::vector<std::string> mismatches;
+  for (const ScenarioResult& result : results) {
+    for (const PointResult& point : result.points) {
+      for (const auto& [name, value] : point.counters) {
+        if (std::string_view(name).ends_with(kSuffix) && value < point.trials) {
+          mismatches.push_back(result.name + "/" + point.point.label + " " +
+                               name + " = " + std::to_string(value) + "/" +
+                               std::to_string(point.trials));
         }
       }
     }
-    return 0;
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
   }
+  return mismatches;
 }
 
 }  // namespace fastcons::harness

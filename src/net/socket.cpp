@@ -73,12 +73,6 @@ TcpConnection TcpConnection::connect(const std::string& host,
   return TcpConnection(std::move(fd));
 }
 
-IoStatus TcpConnection::send(std::span<const std::uint8_t> bytes) {
-  if (!valid()) return IoStatus::error;
-  outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
-  return flush();
-}
-
 void TcpConnection::queue(std::span<const std::uint8_t> bytes) {
   outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
 }

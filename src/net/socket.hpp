@@ -56,9 +56,6 @@ class TcpConnection {
   bool valid() const noexcept { return fd_.valid(); }
   int fd() const noexcept { return fd_.get(); }
 
-  /// Appends to the outbound buffer and attempts to flush.
-  IoStatus send(std::span<const std::uint8_t> bytes);
-
   /// Appends to the outbound buffer WITHOUT attempting a flush. Queue a
   /// batch, then flush() once, to send it in one syscall; while a
   /// non-blocking connect is still in progress the bytes sit in the outbox

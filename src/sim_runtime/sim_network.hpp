@@ -165,8 +165,8 @@ class SimNetwork {
   void start_timers();
   /// Self-rescheduling timer bodies. Scheduled events capture just
   /// [this, node], which fits EventFn's inline buffer — no allocation and
-  /// no closure-ownership gymnastics (see sim/timer_pool.hpp for the
-  /// pattern external workloads still use).
+  /// no closure-ownership gymnastics (experiment/workload.cpp shows the
+  /// owner-vector pattern external workloads still use).
   void session_tick(NodeId node);
   void advert_tick(NodeId node);
   /// Fault churn: crash `node` now (possibly wiping its engine) and

@@ -313,6 +313,7 @@ TEST(Scenarios, Fig4MatchesThePaperSessionOrders) {
     EXPECT_EQ(point.counters[0].first, "matches_paper");
     EXPECT_EQ(point.counters[0].second, 1u) << point.point.label;
   }
+  EXPECT_TRUE(paper_mismatches({result}).empty());
 }
 
 TEST(Scenarios, Sec2WalkthroughDeliversViaFastPush) {
@@ -327,6 +328,52 @@ TEST(Scenarios, Sec2WalkthroughDeliversViaFastPush) {
   }
   EXPECT_EQ(order_ok, 1u);
   EXPECT_EQ(fast_push, 1u);
+  EXPECT_TRUE(paper_mismatches({result}).empty());
+}
+
+TEST(Scenarios, PaperMismatchesReportOnlyFailedChecks) {
+  // fastcons_bench exits 1 on any line this returns.
+  const auto scenario = [](std::string name, std::string counter,
+                           std::uint64_t value) {
+    PointResult point;
+    point.point.label = "p";
+    point.trials = 2;
+    point.counters = {{"d_reached_by_fast_push", 0}, {counter, value}};
+    ScenarioResult result;
+    result.name = std::move(name);
+    result.points.push_back(std::move(point));
+    return result;
+  };
+  const std::vector<ScenarioResult> results{
+      scenario("failed", "matches_paper", 1),
+      scenario("held", "order_matches_paper", 2)};
+  EXPECT_EQ(paper_mismatches(results),
+            std::vector<std::string>{"failed/p matches_paper = 1/2"});
+}
+
+TEST(Scenarios, PaperMismatchesListEveryFailureInOrder) {
+  // Every failed check is reported, not just the first, in scenario then
+  // point order; only counters ending in "matches_paper" are checks.
+  const auto point = [](std::string label, std::uint64_t value) {
+    PointResult result;
+    result.point.label = std::move(label);
+    result.trials = 3;
+    result.counters = {{"matches_paper", value},
+                       {"matches_paper_runs", 0},
+                       {"fast_push", 0}};
+    return result;
+  };
+  ScenarioResult fig4;
+  fig4.name = "fig4";
+  fig4.points = {point("a", 2), point("b", 3), point("c", 0)};
+  ScenarioResult sec2;
+  sec2.name = "sec2";
+  sec2.points = {point("walk", 1)};
+  const std::vector<std::string> expected{"fig4/a matches_paper = 2/3",
+                                          "fig4/c matches_paper = 0/3",
+                                          "sec2/walk matches_paper = 1/3"};
+  EXPECT_EQ(paper_mismatches({fig4, sec2}), expected);
+  EXPECT_TRUE(paper_mismatches({}).empty());
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // ctest cases: the lexer, the indexer/call-graph, one end-to-end violation
 // per rule, and the allowlist machinery. The lint tool also carries its own
 // embedded self-test corpus (--self-test); these tests cover the library
-// API surface the way external callers — the CLI and the determinism_lint
-// alias — consume it.
+// API surface the way its external caller, the CLI, consumes it.
 #include <gtest/gtest.h>
 
 #include <algorithm>

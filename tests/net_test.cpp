@@ -63,9 +63,10 @@ TEST(SocketTest, ConnectSendReceive) {
   }
   ASSERT_TRUE(serverside.has_value());
   const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
-  // Flush until the kernel accepts everything.
-  for (int i = 0; i < 100 && client.send(payload) == IoStatus::would_block;
-       ++i) {
+  // Queue once, then flush until the kernel accepts everything (retrying
+  // only the flush, so an in-progress connect cannot duplicate bytes).
+  client.queue(payload);
+  for (int i = 0; i < 100 && client.flush() == IoStatus::would_block; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   std::vector<std::uint8_t> received;
@@ -339,8 +340,8 @@ TEST(SocketTest, BackpressuredOutboxDeliversEverything) {
       b = static_cast<std::uint8_t>(sent_index * 31 + 7);
       ++sent_index;
     }
-    const IoStatus status = client.send(frame);
-    ASSERT_NE(status, IoStatus::error);
+    client.queue(frame);
+    ASSERT_NE(client.flush(), IoStatus::error);
   }
   EXPECT_GT(client.pending_output_bytes(), 0u)
       << "expected the stalled reader to backpressure the sender";
@@ -466,6 +467,34 @@ TEST(SocketTest, QueuedFramesLeaveInOneFlushAndDecodeInOrder) {
     EXPECT_EQ(encode_frame(decoded[i].sender, decoded[i].msg), frames[i])
         << "frame " << i;
   }
+}
+
+TEST(SocketTest, QueueHoldsBytesUntilFlush) {
+  // queue() only stages: nothing reaches the peer until flush(), and the
+  // outbox reports exactly what is still owed.
+  REQUIRE_LOOPBACK();
+  TcpListener listener = TcpListener::bind_loopback(0);
+  TcpConnection client = TcpConnection::connect("127.0.0.1", listener.port());
+  std::optional<TcpConnection> serverside = accept_within(listener);
+  ASSERT_TRUE(serverside.has_value());
+
+  const std::vector<std::uint8_t> first{1, 2, 3};
+  const std::vector<std::uint8_t> second{4, 5};
+  client.queue(first);
+  client.queue(second);
+  EXPECT_EQ(client.pending_output_bytes(), first.size() + second.size());
+  pollfd p{serverside->fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 50), 0) << "queued bytes left before flush()";
+
+  ASSERT_EQ(client.flush(), IoStatus::ok);
+  EXPECT_FALSE(client.has_pending_output());
+  const std::vector<std::uint8_t> expected{1, 2, 3, 4, 5};
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 200 && received.size() < expected.size(); ++i) {
+    ASSERT_TRUE(wait_readable(serverside->fd()));
+    ASSERT_EQ(serverside->read_available(received), IoStatus::ok);
+  }
+  EXPECT_EQ(received, expected);
 }
 
 // ----------------------------------------------------------- arg parsing ----

@@ -1,8 +1,8 @@
 #include "sim/simulator.hpp"
-#include "sim/timer_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -281,13 +281,13 @@ TEST(SimulatorTest, MoveOnlyCaptureAndLargePayload) {
 }
 
 TEST(SimulatorTest, SelfReschedulingTimerPattern) {
-  // The pattern SimNetwork uses for session timers: a TimerPool owns the
-  // closure, scheduled events hold non-owning pointers (a shared_ptr
+  // A self-rescheduling timer: an owner outside the simulator holds the
+  // closure and scheduled events hold non-owning pointers (a shared_ptr
   // self-capture would be a leaky reference cycle).
   Simulator sim;
-  TimerPool timers;
   int fires = 0;
-  std::function<void()>* tick = timers.add();
+  std::function<void()> owner;
+  std::function<void()>* tick = &owner;
   *tick = [&sim, &fires, tick] {
     ++fires;
     if (fires < 5) sim.schedule_in(1.0, [tick] { (*tick)(); });
@@ -296,6 +296,32 @@ TEST(SimulatorTest, SelfReschedulingTimerPattern) {
   sim.run();
   EXPECT_EQ(fires, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 4.5);
+}
+
+TEST(SimulatorTest, OwnerVectorTimersRunIndependently) {
+  // Several self-rescheduling timers owned by one vector sized up front
+  // (the read processes in experiment/workload.cpp): pointers into it stay
+  // valid, and each timer keeps its own period and fire count.
+  Simulator sim;
+  const std::vector<double> periods{1.0, 0.75, 2.5};
+  std::vector<std::function<void()>> ticks(periods.size());
+  std::vector<std::vector<double>> fired(periods.size());
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    std::function<void()>* tick = &ticks[i];
+    *tick = [&sim, &fired, &periods, tick, i] {
+      fired[i].push_back(sim.now());
+      if (sim.now() + periods[i] <= 5.0) {
+        sim.schedule_in(periods[i], [tick] { (*tick)(); });
+      }
+    };
+    sim.schedule_at(0.0, [tick] { (*tick)(); });
+  }
+  sim.run();
+  EXPECT_EQ(fired[0], (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0, 5.0}));
+  EXPECT_EQ(fired[1],
+            (std::vector<double>{0.0, 0.75, 1.5, 2.25, 3.0, 3.75, 4.5}));
+  EXPECT_EQ(fired[2], (std::vector<double>{0.0, 2.5, 5.0}));
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
 }  // namespace

@@ -129,6 +129,49 @@ TEST(WorkloadTest, ZeroDemandNodesIssueNoReads) {
   EXPECT_EQ(result.reads, 0u);
 }
 
+TEST(WorkloadTest, ReadCountTracksDemand) {
+  // Each replica's read process is a Poisson stream at its demand rate, so
+  // a lone reader at rate 20 over the 26 measured units reads ~520 times.
+  Rng rng(21);
+  Graph g = make_line(4, {0.01, 0.02}, rng);
+  auto demand =
+      std::make_shared<StaticDemand>(std::vector<double>{0, 0, 20, 0});
+  SimConfig sim;
+  sim.protocol = ProtocolConfig::fast();
+  sim.seed = 22;
+  const WorkloadResult result =
+      run_workload(std::move(g), demand, sim, small_workload());
+  EXPECT_GT(result.reads, 420u);
+  EXPECT_LT(result.reads, 620u);
+}
+
+TEST(WorkloadTest, PooledRunsMatchFreshRuns) {
+  // A pooled network is reset, not rebuilt, between runs; the read
+  // processes are rebuilt per run, so every run replays a fresh one exactly,
+  // also after the pool served a larger topology.
+  const auto run = [](std::size_t n, SimNetworkPool* pool) {
+    Rng rng(23 + n);
+    Graph g = make_barabasi_albert(n, 2, {0.01, 0.05}, rng);
+    SimConfig sim;
+    sim.protocol = ProtocolConfig::fast();
+    sim.seed = 24;
+    auto demand = uniform_demand(n, 25);
+    return pool == nullptr
+               ? run_workload(std::move(g), demand, sim, small_workload())
+               : run_workload(std::move(g), demand, sim, small_workload(),
+                              *pool);
+  };
+  SimNetworkPool pool;
+  for (const std::size_t n : {12u, 20u, 9u}) {
+    const WorkloadResult fresh = run(n, nullptr);
+    const WorkloadResult pooled = run(n, &pool);
+    EXPECT_EQ(pooled.reads, fresh.reads) << n;
+    EXPECT_EQ(pooled.fresh_reads, fresh.fresh_reads) << n;
+    EXPECT_EQ(pooled.writes, fresh.writes) << n;
+    EXPECT_EQ(pooled.stale_age.count(), fresh.stale_age.count()) << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, RecordsEveryDeliveryOnce) {

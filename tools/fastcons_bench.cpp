@@ -1,9 +1,10 @@
 // fastcons_bench — the unified experiment harness CLI.
 //
-// Replaces the 13 per-experiment bench_* binaries: every scenario lives in
-// the harness registry (src/harness), trials fan out across a thread pool
-// with per-trial derived seeds, and results land in versioned JSON files
-// whose bytes are identical for any --jobs value.
+// The one entry point to every experiment: each scenario lives in the
+// harness registry (src/harness), trials fan out across a thread pool with
+// per-trial derived seeds, and results land in versioned JSON files whose
+// bytes are identical for any --jobs value. A `*matches_paper` counter
+// below its trial count prints MISMATCH and exits 1.
 //
 //   fastcons_bench --list
 //   fastcons_bench --scenario fig5 --jobs 8
@@ -183,7 +184,14 @@ int main(int argc, char** argv) {
         std::printf("live scenarios ran without --out; results not saved\n");
       }
     }
-    return 0;
+
+    // A failed paper check fails the run, after the results are written so
+    // the evidence is on disk.
+    const std::vector<std::string> mismatches = paper_mismatches(results);
+    for (const std::string& mismatch : mismatches) {
+      std::fprintf(stderr, "MISMATCH: %s\n", mismatch.c_str());
+    }
+    return mismatches.empty() ? 0 : 1;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -265,10 +265,9 @@ void rule_digest_purity(const ProgramIndex& index, std::vector<Violation>& out);
 
 // ----------------------------------------------------------------- runner
 
-/// One full scan, shared by the fastcons_lint CLI and the thin
-/// determinism_lint alias. Empty paths take the defaults under `root`
-/// (tools/fastcons_lint/{allowlist,layers,nothrow}.txt and
-/// tools/determinism_allowlist.txt).
+/// One full scan, as the fastcons_lint CLI runs it. Empty paths take the
+/// defaults under `root` (tools/fastcons_lint/{allowlist,layers,nothrow}.txt
+/// and tools/determinism_allowlist.txt).
 struct RunOptions {
   std::string root;
   std::vector<std::string> rules;  ///< empty = all five
