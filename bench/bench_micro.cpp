@@ -5,11 +5,13 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
+#include "core/policy.hpp"
 #include "demand/demand_model.hpp"
 #include "demand/demand_table.hpp"
 #include "net/socket.hpp"
@@ -127,6 +129,51 @@ void BM_WriteLogUpdatesFor(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteLogUpdatesFor)->Arg(128)->Arg(2048);
 
+void BM_WriteLogNewKeys(benchmark::State& state) {
+  // A burst of writes to new keys, named k/<i> so they arrive out of
+  // lexicographic order: the start of every live-saturate cluster epoch.
+  // Each new key must cost O(log n), not a move of the whole map.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Update> updates;
+  updates.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    updates.push_back(Update{UpdateId{0, static_cast<SeqNo>(i + 1)},
+                             static_cast<double>(i), "k/" + std::to_string(i),
+                             "v"});
+  }
+  for (auto _ : state) {
+    WriteLog log;
+    for (const Update& u : updates) log.apply(u);
+    benchmark::DoNotOptimize(log.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WriteLogNewKeys)->Arg(16384);
+
+void BM_PartnerChoose(benchmark::State& state, PartnerSelection selection) {
+  // One session's partner pick over a table of state.range(0) neighbours:
+  // once per session timer in every simulated trial. Must not allocate.
+  Rng rng(5);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<NodeId> neighbours(n);
+  for (std::size_t i = 0; i < n; ++i) neighbours[i] = static_cast<NodeId>(i);
+  DemandTable table(neighbours);
+  for (const NodeId peer : neighbours) {
+    table.update(peer, rng.uniform(0.0, 100.0), 0.0);
+  }
+  const std::unique_ptr<PartnerPolicy> policy = make_policy(selection);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy->choose(table, 0.0, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PartnerChoose, random, PartnerSelection::uniform_random)
+    ->Arg(8)
+    ->Arg(64);
+BENCHMARK_CAPTURE(BM_PartnerChoose, demand, PartnerSelection::demand_dynamic)
+    ->Arg(8)
+    ->Arg(64);
+
 void BM_DemandTableTouch(benchmark::State& state) {
   // ReplicaEngine::handle touches the table on every message, so this
   // lookup is the hottest demand-layer path. Must stay O(1) in the
@@ -208,6 +255,42 @@ void BM_SimulatorDeliveryPayload(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorDeliveryPayload)->Arg(1000);
+
+void BM_SimulatorSessionShape(benchmark::State& state) {
+  // The heap shape of a ba-1024 trial: 1024 self-rescheduling session
+  // timers with exponential gaps, each firing four message deliveries of
+  // 0.01-0.05 time units that carry a Message, so about 128 messages are in
+  // flight beside the timers. items_per_second counts executed events.
+  struct Shape {
+    Simulator sim;
+    Rng rng{13};
+    std::uint64_t delivered = 0;
+
+    void tick(NodeId node) {
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        sim.schedule_in(rng.uniform(0.01, 0.05),
+                        [this, msg = Message{SessionRequest{i}}]() mutable {
+                          delivered += std::get<SessionRequest>(msg).session_id;
+                        });
+      }
+      sim.schedule_in(rng.exponential(1.0), [this, node] { tick(node); });
+    }
+  };
+  Shape shape;
+  for (NodeId node = 0; node < 1024; ++node) {
+    shape.sim.schedule_at(shape.rng.exponential(1.0),
+                          [&shape, node] { shape.tick(node); });
+  }
+  shape.sim.run_until(2.0);  // reach the steady in-flight count
+  const std::uint64_t before = shape.sim.events_executed();
+  for (auto _ : state) {
+    shape.sim.run_until(shape.sim.now() + 0.1);
+  }
+  benchmark::DoNotOptimize(shape.delivered);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(shape.sim.events_executed() - before));
+}
+BENCHMARK(BM_SimulatorSessionShape);
 
 void BM_BarabasiAlbertGeneration(benchmark::State& state) {
   Rng rng(4);

@@ -273,7 +273,9 @@ void ReplicaEngine::after_gain(const std::vector<OfferedId>& gained,
 
   const PeerHealthTracker* health = health_if_enabled();
   std::size_t sent = 0;
-  for (const NodeId peer : table_.by_demand_desc(now, health)) {
+  table_.by_demand_desc(now, health, push_order_);
+  for (const RankedPeer& ranked : push_order_) {
+    const NodeId peer = ranked.peer;
     if (sent >= config_.fast_fanout) break;
     if (peer == source) continue;
     if (config_.push_rule == FastPushRule::gradient) {

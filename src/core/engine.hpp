@@ -325,6 +325,8 @@ class ReplicaEngine {
   // What each neighbour is known to have (via summaries, offers, data);
   // sorted by peer id, at most degree-many entries.
   std::vector<std::pair<NodeId, SummaryVector>> peer_knowledge_;
+  // after_gain's ranking of push targets, kept so ranking never allocates.
+  std::vector<RankedPeer> push_order_;
 };
 
 }  // namespace fastcons

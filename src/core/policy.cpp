@@ -8,9 +8,30 @@ namespace fastcons {
 
 NodeId RandomPolicy::choose(const DemandTable& table, SimTime now, Rng& rng,
                             const PeerHealthTracker* health) {
-  const std::vector<NodeId> alive = table.alive(now, health);
-  if (alive.empty()) return kInvalidNode;
-  return alive[rng.index(alive.size())];
+  // Count, draw, then walk to the drawn peer: the same draw and pick as
+  // indexing a list of the eligible peers, without building the list.
+  const std::vector<DemandEntry>& entries = table.entries();
+  std::size_t count = 0;
+  for (const DemandEntry& entry : entries) {
+    if (table.eligible(entry, now, health)) ++count;
+  }
+  if (count == 0) return kInvalidNode;
+  std::size_t skip = rng.index(count);
+  if (count == entries.size()) return entries[skip].peer;  // none skipped
+  for (const DemandEntry& entry : entries) {
+    if (!table.eligible(entry, now, health)) continue;
+    if (skip == 0) return entry.peer;
+    --skip;
+  }
+  FASTCONS_ASSERT(false);
+  return kInvalidNode;
+}
+
+bool DemandCyclePolicy::visit(NodeId peer) {
+  const auto it = std::lower_bound(visited_.begin(), visited_.end(), peer);
+  if (it != visited_.end() && *it == peer) return false;
+  visited_.insert(it, peer);
+  return true;
 }
 
 NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
@@ -20,30 +41,26 @@ NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
     // Dynamic: among alive neighbours not yet visited this cycle, take the
     // one with the highest *current* demand. A fresh cycle starts when all
     // alive neighbours have been visited.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const std::vector<NodeId> order = table.by_demand_desc(now, health);
-      for (const NodeId peer : order) {
-        if (!visited_.contains(peer)) {
-          visited_.insert(peer);
-          return peer;
-        }
-      }
-      if (order.empty()) return kInvalidNode;
-      visited_.clear();  // cycle exhausted; start over
+    table.by_demand_desc(now, health, order_);
+    if (order_.empty()) return kInvalidNode;
+    for (const RankedPeer& ranked : order_) {
+      if (visit(ranked.peer)) return ranked.peer;
     }
-    return kInvalidNode;
+    visited_.clear();  // cycle exhausted; start over
+    visited_.push_back(order_.front().peer);
+    return order_.front().peer;
   }
   // Static: freeze the order when the cycle begins; walk it to the end even
   // if demand shifts underneath (the behaviour §3 criticises).
   for (int attempt = 0; attempt < 2; ++attempt) {
     if (frozen_order_.empty()) {
-      frozen_order_ = table.by_demand_desc(now, health);
+      table.by_demand_desc(now, health, frozen_order_);
       visited_.clear();
       if (frozen_order_.empty()) return kInvalidNode;
     }
-    for (const NodeId peer : frozen_order_) {
-      if (visited_.contains(peer)) continue;
-      visited_.insert(peer);
+    for (const RankedPeer& ranked : frozen_order_) {
+      const NodeId peer = ranked.peer;
+      if (!visit(peer)) continue;
       // Skip silently if the peer died after the order froze.
       if (!table.is_alive(peer, now)) continue;
       if (health != nullptr && health->enabled() &&
@@ -59,6 +76,7 @@ NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
 
 void DemandCyclePolicy::reset() {
   visited_.clear();
+  order_.clear();
   frozen_order_.clear();
 }
 

@@ -5,7 +5,6 @@
 #define FASTCONS_CORE_POLICY_HPP
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,6 +36,7 @@ class PartnerPolicy {
 };
 
 /// Golding's baseline: uniformly random alive neighbour, with replacement.
+/// One rng.index draw over the eligible peers in registration order.
 class RandomPolicy final : public PartnerPolicy {
  public:
   using PartnerPolicy::choose;
@@ -63,9 +63,15 @@ class DemandCyclePolicy final : public PartnerPolicy {
   void reset() override;
 
  private:
+  /// Marks `peer` visited; false when it already was.
+  bool visit(NodeId peer);
+
   bool resort_each_pick_;
-  std::set<NodeId> visited_;
-  std::vector<NodeId> frozen_order_;  // only used when !resort_each_pick_
+  // Buffers kept across picks and reset(), so a pick allocates nothing once
+  // they have grown to the neighbour count.
+  std::vector<NodeId> visited_;           // sorted
+  std::vector<RankedPeer> order_;         // this pick's ranking (resort)
+  std::vector<RankedPeer> frozen_order_;  // this cycle's ranking (static)
 };
 
 /// Factory keyed by the configuration enum.

@@ -75,12 +75,6 @@ bool DemandTable::is_alive(NodeId peer, SimTime now) const {
   return is_alive(*entry, now);
 }
 
-bool DemandTable::is_alive(const DemandEntry& entry,
-                           SimTime now) const noexcept {
-  if (liveness_window_ <= 0.0) return true;
-  return now - entry.last_heard <= liveness_window_;
-}
-
 NodeId DemandTable::next_dead_probe(SimTime now) {
   DemandEntry* oldest = nullptr;
   for (auto& entry : entries_) {
@@ -96,40 +90,31 @@ NodeId DemandTable::next_dead_probe(SimTime now) {
   return oldest->peer;
 }
 
-std::vector<NodeId> DemandTable::by_demand_desc(SimTime now) const {
-  return by_demand_desc(now, nullptr);
+void DemandTable::by_demand_desc(SimTime now, const PeerHealthTracker* health,
+                                 std::vector<RankedPeer>& ranked) const {
+  if (health != nullptr && !health->enabled()) health = nullptr;
+  ranked.clear();
+  for (const DemandEntry& entry : entries_) {
+    if (!eligible(entry, now, health)) continue;
+    const double factor =
+        health == nullptr ? 1.0 : health->demand_factor(entry.peer, now);
+    ranked.push_back(RankedPeer{entry.demand * factor, entry.peer});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedPeer& a, const RankedPeer& b) {
+              if (a.demand != b.demand) return a.demand > b.demand;
+              return a.peer < b.peer;
+            });
 }
 
 std::vector<NodeId> DemandTable::by_demand_desc(
     SimTime now, const PeerHealthTracker* health) const {
-  // (entry, effective demand): health decays a suspect peer's demand and
-  // zeroes a down peer's (down peers are excluded below, so the zero never
-  // sorts — it is only here to keep the pair construction branch-free).
-  std::vector<std::pair<const DemandEntry*, double>> live;
-  live.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (!is_alive(entry, now)) continue;
-    double effective = entry.demand;
-    if (health != nullptr && health->enabled()) {
-      if (health->state(entry.peer, now) == PeerHealth::down) continue;
-      effective *= health->demand_factor(entry.peer, now);
-    }
-    live.emplace_back(&entry, effective);
-  }
-  std::sort(live.begin(), live.end(),
-            [](const std::pair<const DemandEntry*, double>& a,
-               const std::pair<const DemandEntry*, double>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first->peer < b.first->peer;
-            });
-  std::vector<NodeId> order;
-  order.reserve(live.size());
-  for (const auto& [entry, effective] : live) order.push_back(entry->peer);
+  std::vector<RankedPeer> ranked;
+  by_demand_desc(now, health, ranked);
+  std::vector<NodeId> order(ranked.size());
+  std::transform(ranked.begin(), ranked.end(), order.begin(),
+                 [](const RankedPeer& r) { return r.peer; });
   return order;
-}
-
-std::vector<NodeId> DemandTable::alive(SimTime now) const {
-  return alive(now, nullptr);
 }
 
 std::vector<NodeId> DemandTable::alive(SimTime now,
@@ -137,12 +122,7 @@ std::vector<NodeId> DemandTable::alive(SimTime now,
   std::vector<NodeId> result;
   result.reserve(entries_.size());
   for (const auto& entry : entries_) {
-    if (!is_alive(entry, now)) continue;
-    if (health != nullptr && health->enabled() &&
-        health->state(entry.peer, now) == PeerHealth::down) {
-      continue;
-    }
-    result.push_back(entry.peer);
+    if (eligible(entry, now, health)) result.push_back(entry.peer);
   }
   return result;
 }

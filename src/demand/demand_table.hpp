@@ -27,6 +27,12 @@ struct DemandEntry {
   SimTime last_probed = 0.0;  ///< last revival probe sent while presumed dead
 };
 
+/// A neighbour as DemandTable::by_demand_desc ranks it.
+struct RankedPeer {
+  double demand = 0.0;  ///< the sort key (health-decayed when tracked)
+  NodeId peer = kInvalidNode;
+};
+
 /// Neighbour demand table with staleness-based liveness.
 class DemandTable {
  public:
@@ -56,7 +62,10 @@ class DemandTable {
 
   /// Same check without the index lookup, for callers already holding the
   /// entry (the advert broadcast iterates entries() directly).
-  bool is_alive(const DemandEntry& entry, SimTime now) const noexcept;
+  bool is_alive(const DemandEntry& entry, SimTime now) const noexcept {
+    return liveness_window_ <= 0.0 ||
+           now - entry.last_heard <= liveness_window_;
+  }
 
   /// Picks the dead neighbour least recently probed, stamps it probed at
   /// `now`, and returns it; kInvalidNode when every neighbour is alive.
@@ -64,24 +73,32 @@ class DemandTable {
   /// periodic probe two mutually-expired peers would stay dark forever.
   NodeId next_dead_probe(SimTime now);
 
-  /// Neighbours sorted by decreasing demand (ties broken by ascending id so
-  /// the order is total and deterministic), dead neighbours excluded.
-  std::vector<NodeId> by_demand_desc(SimTime now) const;
+  /// Whether partner choice may pick `entry`: alive, and not derived
+  /// `down` by `health` (nullptr or a disabled tracker excludes nothing).
+  bool eligible(const DemandEntry& entry, SimTime now,
+                const PeerHealthTracker* health) const {
+    return is_alive(entry, now) &&
+           (health == nullptr || !health->enabled() ||
+            health->state(entry.peer, now) != PeerHealth::down);
+  }
 
-  /// Health-aware variant: `health == nullptr` is exactly the plain
-  /// overload. Otherwise peers the tracker derives `down` are excluded and
-  /// the sort key becomes demand * health demand_factor, so suspect peers'
-  /// demand *decays* in selection order instead of vanishing outright.
-  std::vector<NodeId> by_demand_desc(SimTime now,
-                                     const PeerHealthTracker* health) const;
+  /// Writes into `ranked` the eligible neighbours sorted by decreasing
+  /// demand, ties broken by ascending id so the order is total and
+  /// deterministic. With an enabled `health` the sort key is demand *
+  /// health demand_factor, so suspect peers' demand *decays* in selection
+  /// order instead of vanishing outright. `ranked`'s previous contents are
+  /// discarded and its capacity reused: a caller that keeps the buffer
+  /// ranks without allocating.
+  void by_demand_desc(SimTime now, const PeerHealthTracker* health,
+                      std::vector<RankedPeer>& ranked) const;
 
-  /// Alive neighbours in id order.
-  std::vector<NodeId> alive(SimTime now) const;
+  /// The same order, as a fresh vector of ids.
+  std::vector<NodeId> by_demand_desc(
+      SimTime now, const PeerHealthTracker* health = nullptr) const;
 
-  /// Health-aware variant: additionally excludes peers derived `down`
-  /// (nullptr == plain overload).
+  /// Eligible neighbours in registration order.
   std::vector<NodeId> alive(SimTime now,
-                            const PeerHealthTracker* health) const;
+                            const PeerHealthTracker* health = nullptr) const;
 
   /// All entries in neighbour registration order.
   const std::vector<DemandEntry>& entries() const noexcept { return entries_; }

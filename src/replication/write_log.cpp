@@ -31,14 +31,10 @@ const Update* WriteLog::apply_moved(Update&& update) {
       updates_.begin() + (pos - updates_.begin()), std::move(update));
   const Update& stored = *it;
   // Last-writer-wins on (created_at, origin, seq).
-  const auto kv_pos = std::lower_bound(
-      kv_.begin(), kv_.end(), stored.key,
-      [](const auto& entry, const std::string& key) {
-        return entry.first < key;
-      });
+  const auto kv_pos = kv_.lower_bound(stored.key);
   if (kv_pos == kv_.end() || kv_pos->first != stored.key) {
-    kv_.insert(kv_pos,
-               {stored.key, KeyState{stored.created_at, stored.id, stored.value}});
+    kv_.emplace_hint(kv_pos, stored.key,
+                     KeyState{stored.created_at, stored.id, stored.value});
   } else {
     KeyState& state = kv_pos->second;
     const auto candidate =
@@ -85,10 +81,8 @@ std::vector<Update> WriteLog::updates_for(
 }
 
 std::optional<std::string> WriteLog::read(const std::string& key) const {
-  const auto it = std::lower_bound(
-      kv_.begin(), kv_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == kv_.end() || it->first != key) return std::nullopt;
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return std::nullopt;
   return it->second.value;
 }
 
@@ -121,7 +115,7 @@ void WriteLog::restore(std::vector<Update> updates, const SummaryVector& cover) 
 }
 
 std::uint64_t WriteLog::kv_digest() const noexcept {
-  // FNV-1a over (key, 0, value, 0) in key order. kv_ is sorted by key, so
+  // FNV-1a over (key, 0, value, 0) in key order. kv_ iterates by key, so
   // the digest depends only on the materialised state, not insertion order.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](const std::string& s) {

@@ -27,17 +27,14 @@ class EventFn {
 
   EventFn() noexcept = default;
 
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
+  /// True for the callables an EventFn can wrap (anything but an EventFn).
+  template <typename F, typename D = std::decay_t<F>>
+  static constexpr bool wraps =
+      !std::is_same_v<D, EventFn> && std::is_invocable_r_v<void, D&>;
+
+  template <typename F, typename = std::enable_if_t<wraps<F>>>
   EventFn(F&& fn) {  // NOLINT(google-explicit-constructor): function-like
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      vt_ = &kInlineVt<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      vt_ = &kHeapVt<D>;
-    }
+    construct(std::forward<F>(fn));
   }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
@@ -65,6 +62,14 @@ class EventFn {
       vt_->destroy(storage_);
       vt_ = nullptr;
     }
+  }
+
+  /// Replaces the held callable with `fn`, built directly in this object's
+  /// storage: no temporary EventFn, so no relocation.
+  template <typename F, typename = std::enable_if_t<wraps<F>>>
+  void emplace(F&& fn) {
+    reset();
+    construct(std::forward<F>(fn));
   }
 
  private:
@@ -109,6 +114,19 @@ class EventFn {
       },
       [](void* s) noexcept { delete heap_ptr<D>(s); },
   };
+
+  /// Precondition: disengaged.
+  template <typename F>
+  void construct(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      vt_ = &kInlineVt<D>;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
+      vt_ = &kHeapVt<D>;
+    }
+  }
 
   void move_from(EventFn& other) noexcept {
     if (other.vt_ != nullptr) {

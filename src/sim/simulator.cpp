@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -21,94 +20,95 @@ std::uint64_t Simulator::thread_events_executed() noexcept {
 // --------------------------------------------------------------------------
 // Slab
 
-std::uint32_t Simulator::acquire_slot(EventFn action) {
-  std::uint32_t slot;
-  if (free_head_ != kNoFree) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].action = std::move(action);
-  } else {
-    FASTCONS_EXPECTS(slots_.size() < (1u << 24));  // HeapEntry::slot width
-    slot = static_cast<std::uint32_t>(slots_.size());
+std::uint32_t Simulator::free_slot(SimTime when) {
+  FASTCONS_EXPECTS(when >= now_);
+  FASTCONS_EXPECTS(next_seq_ < (std::uint64_t{1} << kSeqBits));
+  if (free_head_ == kNoFree) {
+    FASTCONS_EXPECTS(slots_.size() < (std::size_t{1} << kSlotBits));
+    free_head_ = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    slots_[slot].action = std::move(action);
   }
+  return free_head_;
+}
+
+TimerHandle Simulator::enqueue(std::uint32_t slot, SimTime when) {
+  FASTCONS_EXPECTS(slot == free_head_);
+  Slot& s = slots_[slot];
+  free_head_ = s.next_free;
   ++live_;
-  return slot;
+  const std::uint64_t seq = next_seq_++;
+  s.pending_seq = seq;
+  // -0.0 passes the `when >= now_` check at time 0 but its sign bit would
+  // sort it after every positive time.
+  if (when == 0.0) when = 0.0;
+  heap_push((static_cast<Key>(std::bit_cast<std::uint64_t>(when)) << 64) |
+            (seq << kSlotBits) | slot);
+  return TimerHandle{slot, s.generation};
 }
 
 void Simulator::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.action.reset();
-  ++s.generation;  // invalidates outstanding heap entries and handles
+  s.pending_seq = kNotPending;  // kills the heap entry
+  ++s.generation;               // kills outstanding handles
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
 }
 
 // --------------------------------------------------------------------------
-// Flat 4-ary min-heap on (when, seq)
+// Flat 4-ary min-heap of keys
 
-void Simulator::heap_push(const HeapEntry& entry) {
+void Simulator::heap_push(Key key) {
+  if (heap_.size() < heap_size_ + 4) heap_.resize(heap_size_ + 4, kPadKey);
   // Hole insertion: walk the hole up, one store per level instead of a swap.
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
+  std::size_t i = heap_size_++;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!entry_before(entry, heap_[parent])) break;
+    if (!(key < heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = entry;
+  heap_[i] = key;
 }
 
-void Simulator::heap_pop_min() {
-  const HeapEntry moved = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+void Simulator::heap_pop_min() noexcept {
+  const std::size_t n = --heap_size_;
+  const Key moved = heap_[n];
+  heap_[n] = kPadKey;
   if (n == 0) return;
-  // Sift the hole down, then drop `moved` in.
+  // Sift the hole down, then drop `moved` in. Padding keys stand in for
+  // missing children, so each level compares exactly four, and the
+  // tournament below compiles to conditional moves: which child is least
+  // is data-dependent and would mispredict as a branch.
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (entry_before(heap_[c], heap_[best])) best = c;
-    }
-    if (!entry_before(heap_[best], moved)) break;
-    heap_[i] = heap_[best];
-    i = best;
+    const Key* child = &heap_[first];
+    const std::size_t a = child[1] < child[0] ? 1 : 0;
+    const std::size_t b = child[3] < child[2] ? 3 : 2;
+    const std::size_t least = child[b] < child[a] ? b : a;
+    const Key best = child[least];
+    if (!(best < moved)) break;
+    heap_[i] = best;
+    i = first + least;
   }
   heap_[i] = moved;
 }
 
-void Simulator::drop_dead_top() {
-  while (!heap_.empty() && !entry_live(heap_[0])) heap_pop_min();
+void Simulator::drop_dead_top() noexcept {
+  while (heap_size_ != 0 && !entry_live(heap_[0])) heap_pop_min();
 }
 
 // --------------------------------------------------------------------------
 // Public interface
 
-TimerHandle Simulator::schedule_at(SimTime when, Action action) {
-  FASTCONS_EXPECTS(when >= now_);
+TimerHandle Simulator::schedule_at(SimTime when, EventFn&& action) {
   FASTCONS_EXPECTS(static_cast<bool>(action));
-  FASTCONS_EXPECTS(next_seq_ < (1ull << 40));  // HeapEntry::seq width
-  const std::uint32_t slot = acquire_slot(std::move(action));
-  const std::uint32_t generation = slots_[slot].generation;
-  HeapEntry entry;
-  entry.when = when;
-  entry.seq = next_seq_++;
-  entry.slot = slot;
-  entry.generation = generation;
-  heap_push(entry);
-  return TimerHandle{slot, generation};
-}
-
-TimerHandle Simulator::schedule_in(SimTime delay, Action action) {
-  FASTCONS_EXPECTS(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(action));
+  const std::uint32_t slot = free_slot(when);
+  slots_[slot].action = std::move(action);
+  return enqueue(slot, when);
 }
 
 bool Simulator::cancel(TimerHandle handle) noexcept {
@@ -116,26 +116,25 @@ bool Simulator::cancel(TimerHandle handle) noexcept {
   const std::uint32_t slot = handle.slot();
   if (slot >= slots_.size()) return false;
   if (slots_[slot].generation != handle.generation()) return false;
-  release_slot(slot);  // the heap entry dies with the generation bump
+  release_slot(slot);  // the heap entry dies with the pending seq
   return true;
 }
 
 bool Simulator::step() {
-  for (;;) {
-    if (heap_.empty()) return false;
-    const HeapEntry top = heap_[0];
-    heap_pop_min();
-    if (!entry_live(top)) continue;  // cancelled
-    // Move the action out and release the slot before invoking: the action
-    // may schedule (reusing this slot) or cancel other events.
-    EventFn action = std::move(slots_[top.slot].action);
-    release_slot(static_cast<std::uint32_t>(top.slot));
-    now_ = top.when;
-    ++executed_;
-    ++t_events_executed;
-    action();
-    return true;
-  }
+  drop_dead_top();
+  if (heap_size_ == 0) return false;
+  const Key top = heap_[0];
+  heap_pop_min();
+  const std::uint32_t slot = key_slot(top);
+  // Move the action out and release the slot before invoking: the action
+  // may schedule (reusing this slot) or cancel other events.
+  EventFn action = std::move(slots_[slot].action);
+  release_slot(slot);
+  now_ = key_time(top);
+  ++executed_;
+  ++t_events_executed;
+  action();
+  return true;
 }
 
 std::uint64_t Simulator::run() {
@@ -147,6 +146,7 @@ std::uint64_t Simulator::run() {
 
 void Simulator::reset() noexcept {
   heap_.clear();
+  heap_size_ = 0;
   // Rebuild the free list over every retained slot, releasing pending
   // closures and invalidating outstanding handles via the generation bump.
   // Walking backwards leaves slot 0 at the head, matching the order a
@@ -155,6 +155,7 @@ void Simulator::reset() noexcept {
   for (std::size_t i = slots_.size(); i-- > 0;) {
     Slot& slot = slots_[i];
     slot.action.reset();
+    slot.pending_seq = kNotPending;
     ++slot.generation;
     slot.next_free = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);
@@ -172,7 +173,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
   while (!stop_requested_) {
     drop_dead_top();  // make the peek below see a live event
-    if (heap_.empty() || heap_[0].when > deadline) break;
+    if (heap_size_ == 0 || key_time(heap_[0]) > deadline) break;
     step();
     ++executed;
   }

@@ -4,19 +4,28 @@
 // Events are closures ordered by (time, insertion sequence); ties are broken
 // by insertion order so runs are bit-for-bit reproducible.
 //
-// Layout: closures live in a slab with a free list, addressed by index from
-// the heap entries; the priority queue is a flat 4-ary min-heap of 24-byte
-// entries. Cancellation is O(1) and allocation-free: it bumps the slot's
-// generation counter, and the orphaned heap entry is discarded when it
-// reaches the top (its recorded generation no longer matches). Handles carry
-// (slot, generation), so a handle to a fired or cancelled event can never
-// alias a later event that reuses the slot.
+// Layout: closures live in a slab with a free list. The priority queue is a
+// flat 4-ary min-heap of 16-byte keys: one unsigned 128-bit integer holding
+// the event time's bits (non-negative doubles order like their bit
+// patterns) above `seq << 24 | slot`, so one integer comparison orders
+// (time, seq) and a sift picks the least of four children with conditional
+// moves instead of branches. The heap is padded with maximal keys, so every
+// node has four children to compare. Cancellation is O(1) and
+// allocation-free: it frees the slot, and the orphaned heap entry is
+// discarded when it reaches the top (its seq no longer matches the seq the
+// slot is pending for). Handles carry (slot, generation), so a handle to a
+// fired or cancelled event can never alias a later event that reuses the
+// slot.
 #ifndef FASTCONS_SIM_SIMULATOR_HPP
 #define FASTCONS_SIM_SIMULATOR_HPP
 
+#include <bit>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "sim/event_fn.hpp"
 
@@ -49,8 +58,6 @@ class TimerHandle {
 /// repository use 1.0 == one mean anti-entropy period (see common/types.hpp).
 class Simulator {
  public:
-  using Action = EventFn;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -60,10 +67,28 @@ class Simulator {
 
   /// Schedules `action` at absolute time `when`; `when` must not be in the
   /// past. Returns a cancellation handle.
-  TimerHandle schedule_at(SimTime when, Action action);
+  TimerHandle schedule_at(SimTime when, EventFn&& action);
+
+  /// Same for any other callable: the closure is built once, in its slab
+  /// slot, instead of being wrapped and then moved there.
+  template <typename F, typename = std::enable_if_t<EventFn::wraps<F>>>
+  TimerHandle schedule_at(SimTime when, F&& fn) {
+    const std::uint32_t slot = free_slot(when);
+    slots_[slot].action.emplace(std::forward<F>(fn));
+    return enqueue(slot, when);
+  }
 
   /// Schedules `action` `delay` from now. `delay` must be >= 0.
-  TimerHandle schedule_in(SimTime delay, Action action);
+  TimerHandle schedule_in(SimTime delay, EventFn&& action) {
+    FASTCONS_EXPECTS(delay >= 0.0);
+    return schedule_at(now_ + delay, std::move(action));
+  }
+
+  template <typename F, typename = std::enable_if_t<EventFn::wraps<F>>>
+  TimerHandle schedule_in(SimTime delay, F&& fn) {
+    FASTCONS_EXPECTS(delay >= 0.0);
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancels a pending event. Safe to call on already-fired, cancelled, or
   /// default-constructed handles; returns whether the event was pending.
@@ -103,44 +128,61 @@ class Simulator {
   static std::uint64_t thread_events_executed() noexcept;
 
  private:
+  // Heap key: time bits in the high 64 bits, `seq << 24 | slot` below.
+  using Key = unsigned __int128;
+  static constexpr int kSlotBits = 24;
+  static constexpr int kSeqBits = 40;
   static constexpr std::uint32_t kNoFree = 0xffffffffu;
+  static constexpr std::uint64_t kNotPending = ~std::uint64_t{0};
+  // Pads the heap past its last entry; no real key is this large (its time
+  // bits would be a NaN).
+  static constexpr Key kPadKey = ~Key{0};
 
   struct Slot {
     EventFn action;
-    // Bumped whenever the slot is released (fire or cancel); heap entries
-    // and handles recording an older generation are dead.
+    // Seq of the heap entry this slot's event waits in, or kNotPending when
+    // the slot is free; an entry whose seq differs is dead.
+    std::uint64_t pending_seq = kNotPending;
+    // Bumped whenever the slot is released (fire or cancel); handles
+    // recording an older generation are dead.
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoFree;
   };
 
-  struct HeapEntry {
-    SimTime when;
-    std::uint64_t seq : 40;  // insertion order for deterministic tie-breaking
-    std::uint64_t slot : 24;
-    std::uint32_t generation;
-  };
-  static_assert(sizeof(HeapEntry) <= 24);
-
-  static bool entry_before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  static SimTime key_time(Key key) noexcept {
+    return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+  }
+  static std::uint64_t key_seq(Key key) noexcept {
+    return static_cast<std::uint64_t>(key) >> kSlotBits;
+  }
+  static std::uint32_t key_slot(Key key) noexcept {
+    return static_cast<std::uint32_t>(key) & ((1u << kSlotBits) - 1);
   }
 
-  bool entry_live(const HeapEntry& e) const noexcept {
-    return slots_[e.slot].generation == e.generation;
+  bool entry_live(Key key) const noexcept {
+    return slots_[key_slot(key)].pending_seq == key_seq(key);
   }
 
-  void heap_push(const HeapEntry& entry);
-  void heap_pop_min();
-  /// Discards cancelled entries at the top; afterwards heap_ is empty or
-  /// heap_[0] is live.
-  void drop_dead_top();
+  void heap_push(Key key);
+  void heap_pop_min() noexcept;
+  /// Discards cancelled entries at the top; afterwards the heap is empty or
+  /// its top is live.
+  void drop_dead_top() noexcept;
 
-  std::uint32_t acquire_slot(EventFn action);
+  /// Checks `when` and returns the slot the next event will take (the free
+  /// list's head, growing the slab when it is empty). The slot stays on the
+  /// free list until enqueue(), so a closure constructor that throws leaks
+  /// nothing.
+  std::uint32_t free_slot(SimTime when);
+  /// Takes `slot` (holding the event's closure) off the free list and
+  /// queues it at `when`.
+  TimerHandle enqueue(std::uint32_t slot, SimTime when);
   void release_slot(std::uint32_t slot) noexcept;
 
   std::vector<Slot> slots_;
-  std::vector<HeapEntry> heap_;
+  // heap_[0, heap_size_) is the heap; at least three kPadKey entries follow.
+  std::vector<Key> heap_;
+  std::size_t heap_size_ = 0;
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;
   SimTime now_ = 0.0;

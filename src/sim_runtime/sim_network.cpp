@@ -81,6 +81,7 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
     engines_.erase(engines_.begin() + static_cast<std::ptrdiff_t>(n),
                    engines_.end());
   }
+  build_link_index();
   first_seen_.resize(n);
   planned_writes_.assign(n, 0);
   node_applied_.assign(n, 0);
@@ -173,6 +174,19 @@ std::uint64_t SimNetwork::edge_key(NodeId a, NodeId b) noexcept {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+
+void SimNetwork::build_link_index() {
+  const Graph& graph = *graph_;
+  link_begin_.resize(graph.size() + 1);
+  links_.clear();
+  links_.reserve(2 * graph.edge_count());
+  for (NodeId node = 0; node < graph.size(); ++node) {
+    link_begin_[node] = links_.size();
+    const std::vector<Edge>& adjacency = graph.neighbours(node);
+    links_.insert(links_.end(), adjacency.begin(), adjacency.end());
+  }
+  link_begin_[graph.size()] = links_.size();
 }
 
 void SimNetwork::refresh_own_demand(NodeId n) {
@@ -330,13 +344,17 @@ void SimNetwork::add_link_failure(NodeId a, NodeId b, SimTime down_at,
 }
 
 double SimNetwork::link_latency(NodeId a, NodeId b) const {
-  if (const Edge* edge = graph_->find_edge(a, b)) return edge->latency;
+  const Edge* const last = links_.data() + link_begin_[a + 1];
+  for (const Edge* e = links_.data() + link_begin_[a]; e != last; ++e) {
+    if (e->peer == b) return e->latency;
+  }
   const auto it = overlay_latency_.find(edge_key(a, b));
   if (it != overlay_latency_.end()) return it->second;
   throw ConfigError("message between non-adjacent nodes");
 }
 
 bool SimNetwork::link_down(NodeId a, NodeId b, SimTime at) const {
+  if (outages_.empty()) return false;
   const auto it = outages_.find(edge_key(a, b));
   if (it == outages_.end()) return false;
   return std::any_of(it->second.begin(), it->second.end(),

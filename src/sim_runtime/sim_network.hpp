@@ -186,6 +186,8 @@ class SimNetwork {
   void dispatch(NodeId from, std::vector<Outbound>& outs);
   void deliver(NodeId from, NodeId to, Message&& msg);
   void refresh_own_demand(NodeId n);
+  /// Fills links_/link_begin_ from the graph (see links_).
+  void build_link_index();
   double link_latency(NodeId a, NodeId b) const;
   bool link_down(NodeId a, NodeId b, SimTime at) const;
   static std::uint64_t edge_key(NodeId a, NodeId b) noexcept;
@@ -199,6 +201,14 @@ class SimNetwork {
   std::vector<ReplicaEngine> engines_;
   std::vector<Rng> node_rngs_;
 
+  // Every node's graph edges in one array: node n's are
+  // links_[link_begin_[n], link_begin_[n + 1]), in adjacency order.
+  // link_latency runs once per message; scanning this contiguous copy
+  // beats chasing the graph's per-node vectors, and on ba-1024's degree
+  // mix a linear scan beats a binary search over a peer-sorted copy. The
+  // graph is immutable, so the index holds for the whole trial.
+  std::vector<Edge> links_;
+  std::vector<std::size_t> link_begin_;
   std::unordered_map<std::uint64_t, double> overlay_latency_;
   struct Outage {
     SimTime down_at;

@@ -33,14 +33,6 @@ bool Graph::has_edge(NodeId a, NodeId b) const {
                      [target](const Edge& e) { return e.peer == target; });
 }
 
-const Edge* Graph::find_edge(NodeId a, NodeId b) const {
-  FASTCONS_EXPECTS(a < size() && b < size());
-  for (const Edge& e : adjacency_[a]) {
-    if (e.peer == b) return &e;
-  }
-  return nullptr;
-}
-
 double Graph::latency(NodeId a, NodeId b) const {
   FASTCONS_EXPECTS(a < size() && b < size());
   for (const Edge& e : adjacency_[a]) {

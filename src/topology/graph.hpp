@@ -36,11 +36,6 @@ class Graph {
 
   bool has_edge(NodeId a, NodeId b) const;
 
-  /// The {a, b} edge as seen from `a`, or nullptr when absent — one
-  /// adjacency scan where a has_edge + latency pair would take two (the
-  /// simulated dispatch path asks on every message).
-  const Edge* find_edge(NodeId a, NodeId b) const;
-
   /// Latency of edge {a, b}; requires the edge to exist.
   double latency(NodeId a, NodeId b) const;
 

@@ -71,6 +71,25 @@ TEST(RandomPolicyTest, SkipsDeadNeighbours) {
   }
 }
 
+TEST(RandomPolicyTest, DrawsAsIndexingTheAliveList) {
+  // The pick must equal alive()[rng.index(alive().size())] draw for draw,
+  // with every neighbour alive and with some dead: the simulated digests
+  // depend on it.
+  RandomPolicy policy;
+  DemandTable table({4, 9, 1, 7, 3, 8, 2}, /*liveness=*/1.0);
+  for (const NodeId peer : {4, 1, 3, 2}) table.touch(peer, 5.0);
+  for (const SimTime now : {0.5, 5.5}) {
+    const std::vector<NodeId> alive = table.alive(now);
+    ASSERT_EQ(alive.size(), now < 1.0 ? 7u : 4u);
+    Rng rng(6);
+    Rng reference(6);
+    for (int i = 0; i < 100; ++i) {
+      EXPECT_EQ(policy.choose(table, now, rng),
+                alive[reference.index(alive.size())]);
+    }
+  }
+}
+
 TEST(DemandCyclePolicyTest, DynamicPicksInDemandOrder) {
   DemandCyclePolicy policy(/*resort_each_pick=*/true);
   Rng rng(6);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace fastcons {
 namespace {
@@ -275,9 +280,14 @@ TEST(SimulatorTest, MoveOnlyCaptureAndLargePayload) {
   };
   double sum = -1.0;
   sim.schedule_at(2.0, [big = Big{}, &sum] { sum = big.data[0]; });
+  // A closure already wrapped in an EventFn is moved in, not re-wrapped.
+  bool prebuilt_fired = false;
+  EventFn prebuilt = [&prebuilt_fired] { prebuilt_fired = true; };
+  sim.schedule_in(2.5, std::move(prebuilt));
   sim.run();
   EXPECT_EQ(got, 42);
   EXPECT_EQ(sum, 0.0);
+  EXPECT_TRUE(prebuilt_fired);
 }
 
 TEST(SimulatorTest, SelfReschedulingTimerPattern) {
@@ -322,6 +332,107 @@ TEST(SimulatorTest, OwnerVectorTimersRunIndependently) {
             (std::vector<double>{0.0, 0.75, 1.5, 2.25, 3.0, 3.75, 4.5}));
   EXPECT_EQ(fired[2], (std::vector<double>{0.0, 2.5, 5.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// Model-based check: a seeded random mix of every queue operation against a
+// reference ordered set of (time, insertion seq). Times cluster on a coarse
+// grid so many events tie; 0.0, -0.0 and 1e300 appear, and cancels pick
+// from every handle ever issued, so stale handles meet reused slots.
+
+TEST(SimulatorTest, MatchesReferenceQueueUnderRandomOperations) {
+  Simulator sim;
+  Rng rng(2024);
+  // Reference queue: (time, seq) -> event id, ordered like the simulator.
+  std::set<std::pair<double, std::uint64_t>> model;
+  std::vector<std::pair<double, std::uint64_t>> key_of;  // by event id
+  std::vector<bool> pending;                             // by event id
+  std::vector<TimerHandle> handles;                      // by event id
+  std::vector<std::size_t> fired;
+  std::uint64_t next_seq = 0;
+  std::size_t expected_fired = 0;
+
+  const auto pick_time = [&](SimTime now) -> SimTime {
+    const std::size_t kind = rng.index(100);
+    if (kind < 2) return std::max(now, 1e300);
+    if (kind < 6 && now == 0.0) return -0.0;
+    if (kind < 10) return now;
+    if (kind < 80) return now + 0.25 * static_cast<double>(rng.index(8));
+    return now + rng.uniform(0.0, 3.0);
+  };
+
+  const auto schedule = [&] {
+    const std::size_t id = key_of.size();
+    const bool relative = rng.bernoulli(0.5);
+    SimTime when;
+    TimerHandle handle;
+    if (relative) {
+      const SimTime delay = pick_time(0.0);
+      when = sim.now() + delay;
+      handle = sim.schedule_in(delay, [&fired, id] { fired.push_back(id); });
+    } else {
+      when = pick_time(sim.now());
+      handle = sim.schedule_at(when, [&fired, id] { fired.push_back(id); });
+    }
+    key_of.emplace_back(when, next_seq++);
+    model.insert(key_of.back());
+    pending.push_back(true);
+    handles.push_back(handle);
+  };
+
+  for (int op = 0; op < 50000; ++op) {
+    const std::size_t kind = rng.index(100);
+    if (kind < 45) {
+      schedule();
+    } else if (kind < 65) {
+      if (handles.empty()) continue;
+      const std::size_t id = rng.index(handles.size());
+      const bool was_pending = pending[id];
+      ASSERT_EQ(sim.cancel(handles[id]), was_pending) << "op " << op;
+      if (was_pending) {
+        model.erase(key_of[id]);
+        pending[id] = false;
+      }
+    } else if (kind < 90) {
+      const bool stepped = sim.step();
+      ASSERT_EQ(stepped, !model.empty()) << "op " << op;
+      if (!stepped) continue;
+      const auto top = *model.begin();
+      model.erase(model.begin());
+      ASSERT_EQ(fired.size(), expected_fired + 1) << "op " << op;
+      const std::size_t id = fired.back();
+      ASSERT_EQ(key_of[id], top) << "op " << op;
+      pending[id] = false;
+      ++expected_fired;
+      ASSERT_EQ(sim.now(), top.first) << "op " << op;
+    } else if (kind < 99) {
+      const SimTime deadline =
+          sim.now() + 0.25 * static_cast<double>(rng.index(6));
+      std::vector<std::pair<double, std::uint64_t>> due;
+      while (!model.empty() && model.begin()->first <= deadline) {
+        due.push_back(*model.begin());
+        model.erase(model.begin());
+      }
+      ASSERT_EQ(sim.run_until(deadline), due.size()) << "op " << op;
+      ASSERT_EQ(fired.size(), expected_fired + due.size()) << "op " << op;
+      for (const auto& key : due) {
+        const std::size_t id = fired[expected_fired++];
+        ASSERT_EQ(key_of[id], key) << "op " << op;
+        pending[id] = false;
+      }
+      ASSERT_EQ(sim.now(), deadline) << "op " << op;
+    } else {
+      // Reset: every pending event is discarded and every handle goes
+      // stale; the seq restarts with the queue.
+      sim.reset();
+      model.clear();
+      std::fill(pending.begin(), pending.end(), false);
+      next_seq = 0;
+      ASSERT_EQ(sim.now(), 0.0);
+    }
+    ASSERT_EQ(sim.pending_events(), model.size()) << "op " << op;
+  }
+  EXPECT_GT(expected_fired, 10000u);
 }
 
 }  // namespace

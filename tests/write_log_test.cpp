@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace fastcons {
@@ -88,6 +93,41 @@ TEST(WriteLogTest, KeysListsMaterialisedKeys) {
   log.apply(make_update(0, 3, 2.0, "a", "3"));
   const auto keys = log.keys();
   EXPECT_EQ(keys.size(), 2u);
+}
+
+TEST(WriteLogTest, KvStateIsIndependentOfInsertionOrder) {
+  // Keys k/<i> (so k/10 sorts before k/2) written by three origins, most
+  // keys more than once, applied in three different orders.
+  std::vector<Update> updates;
+  std::set<std::string> written;
+  for (SeqNo seq = 1; seq <= 40; ++seq) {
+    for (NodeId origin = 0; origin < 3; ++origin) {
+      const std::size_t key = (seq * 7 + origin * 13) % 64;
+      written.insert("k/" + std::to_string(key));
+      updates.push_back(make_update(origin, seq, static_cast<double>(seq % 5),
+                                    "k/" + std::to_string(key),
+                                    std::to_string(origin) + "." +
+                                        std::to_string(seq)));
+    }
+  }
+  std::vector<std::vector<Update>> orders{updates, updates, updates};
+  std::reverse(orders[1].begin(), orders[1].end());
+  Rng rng(17);
+  rng.shuffle(orders[2]);
+
+  std::vector<WriteLog> logs(orders.size());
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    for (const Update& u : orders[i]) EXPECT_TRUE(logs[i].apply(u));
+  }
+  const std::vector<std::string> keys = logs[0].keys();
+  EXPECT_EQ(keys, std::vector<std::string>(written.begin(), written.end()));
+  for (std::size_t i = 1; i < logs.size(); ++i) {
+    EXPECT_EQ(logs[i].kv_digest(), logs[0].kv_digest());
+    EXPECT_EQ(logs[i].keys(), keys);
+    for (const std::string& key : keys) {
+      EXPECT_EQ(logs[i].read(key), logs[0].read(key)) << key;
+    }
+  }
 }
 
 TEST(WriteLogTest, AllRetainedSortedById) {
