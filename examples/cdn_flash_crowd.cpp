@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "demand/demand_model.hpp"
-#include "experiment/metrics.hpp"
 #include "sim_runtime/sim_network.hpp"
+#include "stats/service_metrics.hpp"
 #include "topology/generators.hpp"
 #include "topology/metrics.hpp"
 

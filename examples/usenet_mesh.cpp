@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "demand/demand_model.hpp"
-#include "experiment/metrics.hpp"
 #include "sim_runtime/sim_network.hpp"
 #include "stats/online_stats.hpp"
+#include "stats/service_metrics.hpp"
 #include "topology/generators.hpp"
 
 int main() {

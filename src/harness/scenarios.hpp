@@ -11,8 +11,8 @@
 
 #include "core/config.hpp"
 #include "demand/demand_model.hpp"
-#include "experiment/propagation.hpp"
 #include "harness/registry.hpp"
+#include "sim_runtime/propagation.hpp"
 #include "topology/generators.hpp"
 
 namespace fastcons::harness {
@@ -67,8 +67,10 @@ ProtocolConfig algorithm_config(const std::string& algo);
 const std::vector<std::string>& three_algorithm_names();
 
 /// Builds a topology factory from a point's tags/params. Understands
-/// tag "topo" in {line, ring, grid, tree, ba, dumbbell, star} with params
-/// "n" (or "w"/"h" for grids, "clique"/"bridge" for dumbbells).
+/// tag "topo" in {line, ring, grid, tree, ba, dumbbell, star, complete, er,
+/// waxman} with params "n" (or "w"/"h" for grids, "clique"/"bridge" for
+/// dumbbells). "er" links each pair with p = min(1, 8/n); "waxman" uses
+/// alpha 0.6, beta 0.3.
 TopologyFactory topology_from_point(const SweepPoint& point);
 
 /// Uniform [lo, hi) per-node demand factory (the paper's §5 setup).
@@ -84,17 +86,16 @@ DemandFactory uniform_demand(double lo = 0.0, double hi = 100.0);
 std::shared_ptr<const Graph> shared_topology_for(const SweepPoint& point,
                                                  TrialContext& ctx);
 
-/// Runs one propagation repetition for `point` (reading "algo", topology
-/// tags, "deadline" and "shared_topo") and records the standard propagation
+/// Runs one propagation repetition for `point` (reading the topology tags,
+/// "deadline", "high_demand_fraction", "shared_topo" and the fault_*
+/// params) and records the standard propagation
 /// metrics into a TrialResult: sessions_all/sessions_high samples,
 /// time_to_full value, convergence and traffic counters. Pools the network
-/// and scratch buffers in `ctx`.
+/// and scratch buffers in `ctx`; the raw PropagationTrial stays readable in
+/// `ctx.state<PropagationContext>().trial` until the worker's next trial.
 TrialResult propagation_trial(const SweepPoint& point, std::uint64_t seed,
                               const ProtocolConfig& protocol,
                               const DemandFactory& demand, TrialContext& ctx);
-
-/// Appends `trial`'s observations to `out` under the standard metric names.
-void record_propagation(TrialResult& out, const PropagationTrial& trial);
 
 /// The fault configuration a sweep point asks for, or nullopt when the
 /// point has no `fault_*` params at all — pre-existing scenarios take the
@@ -104,11 +105,6 @@ void record_propagation(TrialResult& out, const PropagationTrial& trial);
 /// (< 0 = unbounded), fault_partition_groups (>= 2 enables a partition),
 /// fault_partition_at, fault_heal_at (< 0 = never heals).
 std::optional<FaultConfig> fault_config_from_point(const SweepPoint& point);
-
-/// Appends `trial`'s fault telemetry (faults_* counters, trials_consistent)
-/// to `out`. Called only for points with fault params so the standard
-/// scenarios' result schema stays untouched.
-void record_fault_stats(TrialResult& out, const PropagationTrial& trial);
 
 /// Appends `traffic` to `out` as messages_total/bytes_total plus one
 /// messages_<class>/bytes_<class> counter pair per TrafficClass — the one

@@ -1,4 +1,5 @@
 // Shared helpers for the built-in scenario definitions.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -55,6 +56,17 @@ TopologyFactory topology_from_point(const SweepPoint& point) {
   }
   if (topo == "star") {
     return [n, lat](Rng& rng) { return make_star(n, lat, rng); };
+  }
+  if (topo == "complete") {
+    return [n, lat](Rng& rng) { return make_complete(n, lat, rng); };
+  }
+  if (topo == "er") {
+    // Mean degree ~8 at any size.
+    const double p = std::min(1.0, 8.0 / static_cast<double>(n));
+    return [n, p, lat](Rng& rng) { return make_erdos_renyi(n, p, lat, rng); };
+  }
+  if (topo == "waxman") {
+    return [n, lat](Rng& rng) { return make_waxman(n, 0.6, 0.3, lat, rng); };
   }
   if (topo == "ba") {
     const auto m = static_cast<std::size_t>(param_or(point.params, "ba_m", 2));
@@ -121,29 +133,6 @@ std::optional<FaultConfig> fault_config_from_point(const SweepPoint& point) {
     f.partitions.push_back(partition);
   }
   return f;
-}
-
-void record_fault_stats(TrialResult& out, const PropagationTrial& trial) {
-  const FaultStats& s = trial.faults;
-  out.counter("trials_consistent", trial.consistent ? 1 : 0);
-  out.counter("faults_messages_lost", s.messages_lost);
-  out.counter("faults_messages_duplicated", s.messages_duplicated);
-  out.counter("faults_messages_delayed", s.messages_delayed);
-  out.counter("faults_partition_drops", s.partition_drops);
-  out.counter("faults_crash_drops", s.crash_drops);
-  out.counter("faults_crashes", s.crashes);
-  out.counter("faults_restarts", s.restarts);
-  out.counter("faults_wipes", s.wipes);
-  out.counter("faults_writes_deferred", s.writes_deferred);
-}
-
-void record_propagation(TrialResult& out, const PropagationTrial& trial) {
-  out.value("time_to_full", trial.time_to_full);
-  out.sample("sessions_all", trial.sessions_all);
-  out.sample("sessions_high_demand", trial.sessions_high);
-  out.counter("trials_converged", trial.converged ? 1 : 0);
-  out.counter("censored_samples", trial.censored_samples);
-  record_traffic(out, trial.traffic);
 }
 
 namespace {
@@ -216,10 +205,28 @@ TrialResult propagation_trial(const SweepPoint& point, std::uint64_t seed,
   const PropagationTrial& trial =
       run_propagation_trial(exp, rng, ctx.state<PropagationContext>());
   TrialResult out;
-  record_propagation(out, trial);
+  out.value("time_to_full", trial.time_to_full);
+  out.sample("sessions_all", trial.sessions_all);
+  out.sample("sessions_high_demand", trial.sessions_high);
+  out.counter("trials_converged", trial.converged ? 1 : 0);
+  out.counter("censored_samples", trial.censored_samples);
+  record_traffic(out, trial.traffic);
   // Fault telemetry only for fault points — including the zero-probability
-  // control point, whose counters then read all-zero on purpose.
-  if (faults) record_fault_stats(out, trial);
+  // control point, whose counters then read all-zero on purpose — so the
+  // standard scenarios' result schema stays untouched.
+  if (faults) {
+    const FaultStats& f = trial.faults;
+    out.counter("trials_consistent", trial.consistent ? 1 : 0);
+    out.counter("faults_messages_lost", f.messages_lost);
+    out.counter("faults_messages_duplicated", f.messages_duplicated);
+    out.counter("faults_messages_delayed", f.messages_delayed);
+    out.counter("faults_partition_drops", f.partition_drops);
+    out.counter("faults_crash_drops", f.crash_drops);
+    out.counter("faults_crashes", f.crashes);
+    out.counter("faults_restarts", f.restarts);
+    out.counter("faults_wipes", f.wipes);
+    out.counter("faults_writes_deferred", f.writes_deferred);
+  }
   return out;
 }
 

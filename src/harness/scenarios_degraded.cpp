@@ -31,20 +31,10 @@ TrialResult degraded_trial(const SweepPoint& point, std::uint64_t seed,
         param_or(point.params, "health_suspect_factor", 0.25);
   }
 
-  PropagationExperiment exp;
-  exp.topology = topology_from_point(point);
-  exp.demand = uniform_demand();
-  exp.sim.protocol = protocol;
-  exp.deadline = param_or(point.params, "deadline", exp.deadline);
-  const std::optional<FaultConfig> faults = fault_config_from_point(point);
-  if (faults) exp.sim.faults = *faults;
-
-  Rng rng(seed);
-  const PropagationTrial& trial =
-      run_propagation_trial(exp, rng, ctx.state<PropagationContext>());
-  TrialResult out;
-  record_propagation(out, trial);
-  if (faults) record_fault_stats(out, trial);
+  TrialResult out =
+      propagation_trial(point, seed, protocol, uniform_demand(), ctx);
+  // The trial just run is still in the context's pooled slot.
+  const PropagationTrial& trial = ctx.state<PropagationContext>().trial;
   out.counter("pushes_suppressed_unhealthy", trial.pushes_suppressed_unhealthy);
   return out;
 }

@@ -3,10 +3,10 @@
 #include <map>
 
 #include "common/construction_cost.hpp"
-#include "experiment/workload.hpp"
 #include "harness/scenarios.hpp"
 #include "islands/islands.hpp"
 #include "sim_runtime/sim_network.hpp"
+#include "sim_runtime/workload.hpp"
 #include "stats/online_stats.hpp"
 
 namespace fastcons::harness {

@@ -5,9 +5,9 @@
 
 #include "common/construction_cost.hpp"
 #include "core/engine.hpp"
-#include "experiment/metrics.hpp"
 #include "harness/scenarios.hpp"
 #include "sim_runtime/sim_network.hpp"
+#include "stats/service_metrics.hpp"
 
 namespace fastcons::harness {
 namespace {

@@ -1,37 +1,9 @@
 #include "net/options.hpp"
 
-#include <charconv>
-#include <cstdlib>
-
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace fastcons {
-namespace {
-
-/// Parses the whole of `text` as an unsigned integer <= `max`; nullopt on
-/// empty input, trailing garbage, or overflow.
-std::optional<std::uint64_t> parse_u64(const std::string& text,
-                                       std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || text.empty() || value > max) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// Parses the whole of `text` as a double; nullopt on trailing garbage.
-std::optional<double> parse_double(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return value;
-}
-
-}  // namespace
 
 PeerAddress parse_peer_address(const std::string& spec) {
   const auto first = spec.find(':');

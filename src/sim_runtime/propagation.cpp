@@ -1,4 +1,4 @@
-#include "experiment/propagation.hpp"
+#include "sim_runtime/propagation.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -27,8 +27,10 @@ void high_demand_mask(const std::vector<double>& demands, double fraction,
   for (std::size_t i = 0; i < std::min(k, n); ++i) mask[order[i]] = true;
 }
 
-/// Shared precondition checks for the trial and batch entry points.
-void check_config(const PropagationExperiment& config) {
+}  // namespace
+
+const PropagationTrial& run_propagation_trial(
+    const PropagationExperiment& config, Rng& rng, PropagationContext& ctx) {
   if (!config.shared_topology && !config.topology) {
     throw ConfigError("propagation experiment needs a topology factory or a shared topology");
   }
@@ -38,13 +40,6 @@ void check_config(const PropagationExperiment& config) {
   if (config.high_demand_fraction <= 0.0 || config.high_demand_fraction > 1.0) {
     throw ConfigError("high_demand_fraction must be in (0, 1]");
   }
-}
-
-}  // namespace
-
-const PropagationTrial& run_propagation_trial(
-    const PropagationExperiment& config, Rng& rng, PropagationContext& ctx) {
-  check_config(config);
 
   const SimTime period = config.sim.protocol.session_period;
   PropagationTrial& trial = ctx.trial;
@@ -124,34 +119,6 @@ const PropagationTrial& run_propagation_trial(
   trial.pushes_suppressed_unhealthy =
       net.total_stats().pushes_suppressed_unhealthy;
   return trial;
-}
-
-PropagationTrial run_propagation_trial(const PropagationExperiment& config,
-                                       Rng& rng) {
-  PropagationContext ctx;
-  return run_propagation_trial(config, rng, ctx);
-}
-
-PropagationResult run_propagation(const PropagationExperiment& config) {
-  check_config(config);
-  if (config.repetitions == 0) throw ConfigError("repetitions must be > 0");
-
-  Rng master(config.seed);
-  PropagationResult result;
-  PropagationContext ctx;
-
-  for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
-    Rng rep_rng = master.split();
-    const PropagationTrial& trial = run_propagation_trial(config, rep_rng, ctx);
-    result.reps_converged += trial.converged ? 1 : 0;
-    ++result.reps_total;
-    result.censored_samples += trial.censored_samples;
-    result.all.add_all(trial.sessions_all);
-    result.high_demand.add_all(trial.sessions_high);
-    result.time_to_full.add(trial.time_to_full);
-    result.traffic.merge(trial.traffic);
-  }
-  return result;
 }
 
 }  // namespace fastcons

@@ -1,10 +1,10 @@
-// The paper's §5 experiment, as a reusable harness: "The simulation begins
+// The paper's §5 experiment, one repetition at a time: "The simulation begins
 // by assuming a change on a randomly chosen replica, with the aim of
 // measuring the number of sessions the algorithm uses to propagate this
 // change, both in the replica with most demand and in those with less
 // demand. ... experiments were repeated 10,000 times."
-#ifndef FASTCONS_EXPERIMENT_PROPAGATION_HPP
-#define FASTCONS_EXPERIMENT_PROPAGATION_HPP
+#ifndef FASTCONS_SIM_RUNTIME_PROPAGATION_HPP
+#define FASTCONS_SIM_RUNTIME_PROPAGATION_HPP
 
 #include <cstdint>
 #include <functional>
@@ -13,9 +13,7 @@
 #include "common/rng.hpp"
 #include "demand/demand_model.hpp"
 #include "sim_runtime/sim_network.hpp"
-#include "stats/cdf.hpp"
 #include "stats/counters.hpp"
-#include "stats/online_stats.hpp"
 #include "topology/graph.hpp"
 
 namespace fastcons {
@@ -43,36 +41,11 @@ struct PropagationExperiment {
   /// digest.
   std::shared_ptr<const Graph> shared_topology;
 
-  std::size_t repetitions = 1000;
-
   /// "Replicas with most demand": the top fraction by demand at write time.
   double high_demand_fraction = 0.10;
 
   /// Give up on a repetition after this many session periods.
   SimTime deadline = 60.0;
-
-  std::uint64_t seed = 42;
-};
-
-struct PropagationResult {
-  /// Sessions until the change reached each replica (writer excluded),
-  /// pooled over repetitions — the paper's Figs. 5/6 curves.
-  EmpiricalCdf all;
-
-  /// Same, restricted to the high-demand subset.
-  EmpiricalCdf high_demand;
-
-  /// Sessions until the change reached the last replica, per repetition.
-  OnlineStats time_to_full;
-
-  /// Wire traffic summed over nodes and repetitions (full horizon).
-  TrafficCounters traffic;
-
-  std::uint64_t reps_converged = 0;
-  std::uint64_t reps_total = 0;
-  /// Replica samples that hit the deadline before delivery (censored at the
-  /// deadline value in `all`).
-  std::uint64_t censored_samples = 0;
 };
 
 /// One repetition's raw observations, before pooling. The harness runs
@@ -136,18 +109,10 @@ struct PropagationContext {
 /// Runs a single repetition of `config` drawing all randomness from `rng`,
 /// reusing `ctx`'s network and buffers. Returns a reference to `ctx.trial`,
 /// valid until the next call with the same context. Deterministic for a
-/// given rng state; ignores config.repetitions/seed.
+/// given rng state.
 const PropagationTrial& run_propagation_trial(
     const PropagationExperiment& config, Rng& rng, PropagationContext& ctx);
 
-/// Convenience overload with a one-shot context (fresh construction).
-PropagationTrial run_propagation_trial(const PropagationExperiment& config,
-                                       Rng& rng);
-
-/// Runs the experiment (config.repetitions trials seeded from config.seed).
-/// Deterministic for a given config.
-PropagationResult run_propagation(const PropagationExperiment& config);
-
 }  // namespace fastcons
 
-#endif  // FASTCONS_EXPERIMENT_PROPAGATION_HPP
+#endif  // FASTCONS_SIM_RUNTIME_PROPAGATION_HPP

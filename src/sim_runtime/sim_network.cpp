@@ -37,9 +37,7 @@ void SimNetwork::reset(std::shared_ptr<const Graph> graph,
                        SimConfig config) {
   sim_.reset();
   overlay_latency_.clear();
-  outages_.clear();
   holding_count_.clear();
-  dropped_ = 0;
   summary_revision_ = 0;
   consistent_revision_ = ~std::uint64_t{0};
   consistent_cache_ = false;
@@ -60,13 +58,11 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
   if (demand->size() != graph->size()) {
     throw ConfigError("demand model size does not match topology size");
   }
-  if (config.loss_rate < 0.0 || config.loss_rate >= 1.0) {
-    throw ConfigError("loss rate must be in [0, 1)");
-  }
   graph_ = std::move(graph);
   demand_ = std::move(demand);
   config_ = config;
-  rng_ = Rng(config_.seed);
+  // The driver stream: seeds every engine and per-node stream below.
+  Rng rng(config_.seed);
 
   const std::size_t n = graph_->size();
   // Rebuilding the plan every wire() is what makes pooled reset exact: all
@@ -98,12 +94,12 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
     // per engine, then one split per node RNG.
     if (node < engines_.size()) {
       engines_[node].reset(node, scratch_neighbours_, config_.protocol,
-                           rng_.next_u64());
+                           rng.next_u64());
     } else {
       engines_.emplace_back(node, scratch_neighbours_, config_.protocol,
-                            rng_.next_u64());
+                            rng.next_u64());
     }
-    node_rngs_.push_back(rng_.split());
+    node_rngs_.push_back(rng.split());
   }
   // Prime demand knowledge at t=0.
   for (NodeId node = 0; node < n; ++node) {
@@ -337,12 +333,6 @@ void SimNetwork::add_overlay_link(NodeId a, NodeId b, double latency) {
   }
 }
 
-void SimNetwork::add_link_failure(NodeId a, NodeId b, SimTime down_at,
-                                  SimTime up_at) {
-  FASTCONS_EXPECTS(down_at <= up_at);
-  outages_[edge_key(a, b)].push_back(Outage{down_at, up_at});
-}
-
 double SimNetwork::link_latency(NodeId a, NodeId b) const {
   const Edge* const last = links_.data() + link_begin_[a + 1];
   for (const Edge* e = links_.data() + link_begin_[a]; e != last; ++e) {
@@ -353,42 +343,24 @@ double SimNetwork::link_latency(NodeId a, NodeId b) const {
   throw ConfigError("message between non-adjacent nodes");
 }
 
-bool SimNetwork::link_down(NodeId a, NodeId b, SimTime at) const {
-  if (outages_.empty()) return false;
-  const auto it = outages_.find(edge_key(a, b));
-  if (it == outages_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [at](const Outage& o) {
-                       return at >= o.down_at && at < o.up_at;
-                     });
-}
-
 void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs) {
   for (Outbound& out : outs) {
-    // Decide the drop before touching the payload: a lost message must not
-    // pay for a capture, and nothing below ever copies — the Message moves
-    // from the engine's Outbound into the event closure and on into the
-    // receiving engine. (Each Outbound owns a distinct Message, so there is
-    // no genuine fan-out sharing to justify a shared_ptr payload.)
-    if (link_down(from, out.to, sim_.now()) ||
-        (config_.loss_rate > 0.0 && rng_.bernoulli(config_.loss_rate))) {
-      ++dropped_;
-      continue;
-    }
+    // Decide any drop before touching the payload: a lost message must not
+    // pay for a capture, and nothing below copies outside the duplicate
+    // path — the Message moves from the engine's Outbound into the event
+    // closure and on into the receiving engine. (Each Outbound owns a
+    // distinct Message, so there is no genuine fan-out sharing to justify a
+    // shared_ptr payload.)
     if (faults_.enabled()) {
       // All per-message fault decisions happen here, at send time, from the
       // fault plan's own stream. Messages already in flight when a
       // partition starts still arrive (send-time semantics).
       if (faults_.crossing_partition(from, out.to, sim_.now())) {
-        ++dropped_;
         ++faults_.stats().partition_drops;
         continue;
       }
       const FaultPlan::LinkFate fate = faults_.link_fate();
-      if (fate.lost) {
-        ++dropped_;
-        continue;
-      }
+      if (fate.lost) continue;
       const double latency = link_latency(from, out.to);
       if (fate.duplicated) {
         // The copy pays for the one Message copy in the layer; it only
@@ -418,7 +390,6 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message&& msg) {
     // The receiver is crashed: the message is lost at its doorstep. Checked
     // at delivery (not send) time so a message racing a crash behaves like
     // the real network — and the check is draw-free either way.
-    ++dropped_;
     ++faults_.stats().crash_drops;
     return;
   }

@@ -31,15 +31,9 @@ struct SimConfig {
   /// with a uniformly random phase per node.
   enum class Timing { exponential, periodic } timing = Timing::exponential;
 
-  /// Probability that any individual message is silently dropped.
-  ///
-  /// Historical knob, drawn from the network driver RNG — changing it moves
-  /// every later draw and therefore every digest. New fault work should use
-  /// `faults.loss` instead, which draws from the FaultPlan's own stream.
-  double loss_rate = 0.0;
-
-  /// Seeded fault injection: per-link loss/duplication/reordering, node
-  /// crash/restart churn, scheduled partitions (fault_plan.hpp). The
+  /// Seeded fault injection — the one way to lose a message or cut a link:
+  /// per-link loss/duplication/reordering, node crash/restart churn,
+  /// scheduled partitions (fault_plan.hpp). The
   /// default (everything disabled) consumes no RNG draws and schedules no
   /// events, so it is bit-identical to the pre-fault-layer behaviour.
   FaultConfig faults;
@@ -77,7 +71,7 @@ class SimNetwork {
   /// retaining slab slots, heap storage, engine log/kv/session capacity
   /// and the convergence tracker's arrays. A pooled network therefore runs
   /// steady-state trials allocation-free outside first touch. Overlay
-  /// links, outages and the delivery observer are cleared.
+  /// links and the delivery observer are cleared.
   void reset(Graph graph, std::shared_ptr<const DemandModel> demand,
              SimConfig config);
   void reset(std::shared_ptr<const Graph> graph,
@@ -97,9 +91,6 @@ class SimNetwork {
   /// Adds an island-overlay link (§6): both engines treat each other as
   /// neighbours; messages between them take `latency`.
   void add_overlay_link(NodeId a, NodeId b, double latency);
-
-  /// Messages sent over {a, b} during [down_at, up_at) are dropped.
-  void add_link_failure(NodeId a, NodeId b, SimTime down_at, SimTime up_at);
 
   /// Runs the simulation until the given absolute time.
   void run_until(SimTime t);
@@ -138,7 +129,11 @@ class SimNetwork {
   /// Sum of per-engine protocol statistics.
   EngineStats total_stats() const;
 
-  std::uint64_t messages_dropped() const noexcept { return dropped_; }
+  /// Messages lost to any fault: the loss coin, a partition, a down receiver.
+  std::uint64_t messages_dropped() const noexcept {
+    const FaultStats& s = faults_.stats();
+    return s.messages_lost + s.partition_drops + s.crash_drops;
+  }
 
   /// The fault-injection state machine (config, node up/down, counters).
   const FaultPlan& faults() const noexcept { return faults_; }
@@ -165,8 +160,8 @@ class SimNetwork {
   void start_timers();
   /// Self-rescheduling timer bodies. Scheduled events capture just
   /// [this, node], which fits EventFn's inline buffer — no allocation and
-  /// no closure-ownership gymnastics (experiment/workload.cpp shows the
-  /// owner-vector pattern external workloads still use).
+  /// no closure-ownership gymnastics (workload.cpp shows the owner-vector
+  /// pattern external timers still use).
   void session_tick(NodeId node);
   void advert_tick(NodeId node);
   /// Fault churn: crash `node` now (possibly wiping its engine) and
@@ -189,14 +184,12 @@ class SimNetwork {
   /// Fills links_/link_begin_ from the graph (see links_).
   void build_link_index();
   double link_latency(NodeId a, NodeId b) const;
-  bool link_down(NodeId a, NodeId b, SimTime at) const;
   static std::uint64_t edge_key(NodeId a, NodeId b) noexcept;
 
   std::shared_ptr<const Graph> graph_;
   std::shared_ptr<const DemandModel> demand_;
   SimConfig config_;
   Simulator sim_;
-  Rng rng_;
   FaultPlan faults_;
   std::vector<ReplicaEngine> engines_;
   std::vector<Rng> node_rngs_;
@@ -210,11 +203,6 @@ class SimNetwork {
   std::vector<Edge> links_;
   std::vector<std::size_t> link_begin_;
   std::unordered_map<std::uint64_t, double> overlay_latency_;
-  struct Outage {
-    SimTime down_at;
-    SimTime up_at;
-  };
-  std::unordered_map<std::uint64_t, std::vector<Outage>> outages_;
 
   // first_seen_[n]: (update id, first application time) at node n, sorted
   // by id. Flat vectors: a trial touches few ids per node, and hash tables
@@ -223,7 +211,6 @@ class SimNetwork {
   // (update id, nodes holding it), sorted by id.
   std::vector<std::pair<UpdateId, std::size_t>> holding_count_;
   std::vector<SeqNo> planned_writes_;
-  std::uint64_t dropped_ = 0;
 
   // Incremental convergence tracker: per-node count and order-independent
   // digest of applied update ids (a node's summary is exactly the set of
@@ -247,7 +234,8 @@ class SimNetwork {
 /// Owns at most one SimNetwork and hands it out construct-or-reset style:
 /// the first acquire() builds the network, every later one rewires it in
 /// place. This is the one spelling of "pooled network per trial context"
-/// shared by the harness scenarios, run_workload and the benchmarks.
+/// shared by run_propagation_trial, run_workload, the harness scenarios
+/// and the benchmarks.
 class SimNetworkPool {
  public:
   SimNetwork& acquire(std::shared_ptr<const Graph> graph,
@@ -267,9 +255,6 @@ class SimNetworkPool {
     return acquire(std::make_shared<const Graph>(std::move(graph)),
                    std::move(demand), std::move(config));
   }
-
-  /// The pooled network, or nullptr before the first acquire().
-  SimNetwork* get() noexcept { return net_.get(); }
 
  private:
   std::unique_ptr<SimNetwork> net_;

@@ -1,4 +1,4 @@
-#include "experiment/workload.hpp"
+#include "sim_runtime/workload.hpp"
 
 #include <algorithm>
 #include <functional>
@@ -8,15 +8,6 @@
 #include "common/error.hpp"
 
 namespace fastcons {
-
-WorkloadResult run_workload(Graph topology,
-                            std::shared_ptr<const DemandModel> demand,
-                            const SimConfig& sim_config,
-                            const WorkloadConfig& workload) {
-  SimNetworkPool pool;
-  return run_workload(std::move(topology), std::move(demand), sim_config,
-                      workload, pool);
-}
 
 WorkloadResult run_workload(Graph topology,
                             std::shared_ptr<const DemandModel> demand,

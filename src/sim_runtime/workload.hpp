@@ -8,8 +8,8 @@
 // schedule, and every read is classified as fresh or stale depending on
 // whether the serving replica already holds the globally newest write of
 // the requested key.
-#ifndef FASTCONS_EXPERIMENT_WORKLOAD_HPP
-#define FASTCONS_EXPERIMENT_WORKLOAD_HPP
+#ifndef FASTCONS_SIM_RUNTIME_WORKLOAD_HPP
+#define FASTCONS_SIM_RUNTIME_WORKLOAD_HPP
 
 #include <cstdint>
 #include <memory>
@@ -57,18 +57,11 @@ struct WorkloadResult {
   }
 };
 
-/// Runs the workload on a freshly wired network. Reads are evaluated
-/// analytically against the global write history (no read messages are
-/// simulated — a read is served locally by the replica's materialised
-/// state, exactly as in the paper's model).
-WorkloadResult run_workload(Graph topology,
-                            std::shared_ptr<const DemandModel> demand,
-                            const SimConfig& sim_config,
-                            const WorkloadConfig& workload);
-
-/// Pooled variant: acquires the network from `pool` (reset, not rebuilt,
-/// after the first trial on this pool). Results are bit-identical to the
-/// fresh-construction overload, which delegates here.
+/// Runs the workload on the network acquired from `pool` (built by the
+/// first run on a pool, reset after; results are bit-identical either way).
+/// Reads are evaluated analytically against the global write history (no
+/// read messages are simulated — a read is served locally by the replica's
+/// materialised state, exactly as in the paper's model).
 WorkloadResult run_workload(Graph topology,
                             std::shared_ptr<const DemandModel> demand,
                             const SimConfig& sim_config,
@@ -77,4 +70,4 @@ WorkloadResult run_workload(Graph topology,
 
 }  // namespace fastcons
 
-#endif  // FASTCONS_EXPERIMENT_WORKLOAD_HPP
+#endif  // FASTCONS_SIM_RUNTIME_WORKLOAD_HPP

@@ -1,4 +1,4 @@
-#include "experiment/metrics.hpp"
+#include "stats/service_metrics.hpp"
 
 #include <algorithm>
 

@@ -5,8 +5,8 @@
 // change reaches it. The instantaneous consistent-service rate at time t is
 // therefore the demand sum over replicas already holding the change —
 // deterministic, no need to simulate individual client requests.
-#ifndef FASTCONS_EXPERIMENT_METRICS_HPP
-#define FASTCONS_EXPERIMENT_METRICS_HPP
+#ifndef FASTCONS_STATS_SERVICE_METRICS_HPP
+#define FASTCONS_STATS_SERVICE_METRICS_HPP
 
 #include <optional>
 #include <vector>
@@ -42,4 +42,4 @@ double demand_weighted_mean_delay(
 
 }  // namespace fastcons
 
-#endif  // FASTCONS_EXPERIMENT_METRICS_HPP
+#endif  // FASTCONS_STATS_SERVICE_METRICS_HPP

@@ -112,7 +112,7 @@ TEST_P(LossyConvergenceProperty, ConvergesDespiteLoss) {
       make_uniform_random_demand(graph.size(), 0.0, 100.0, rng));
   SimConfig cfg;
   cfg.protocol = ProtocolConfig::fast();
-  cfg.loss_rate = 0.25;
+  cfg.faults.loss = 0.25;
   cfg.seed = rng.next_u64();
   SimNetwork net(std::move(graph), demand, cfg);
   const auto writer = static_cast<NodeId>(rng.index(net.size()));
@@ -127,8 +127,9 @@ class HealedPartitionProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(HealedPartitionProperty, ConvergesAfterHeal) {
-  // Ring cut in two places -> two halves; writes land on both sides during
-  // the partition; after healing everything converges.
+  // Ring cut in two places (0-9 and 4-5: the two group boundaries of a
+  // 2-group partition) -> two halves; writes land on both sides during the
+  // partition; after healing everything converges.
   Rng rng(GetParam() * 101 + 3);
   Graph graph = make_ring(10, {0.01, 0.02}, rng);
   auto demand = std::make_shared<StaticDemand>(
@@ -136,9 +137,8 @@ TEST_P(HealedPartitionProperty, ConvergesAfterHeal) {
   SimConfig cfg;
   cfg.protocol = ProtocolConfig::fast();
   cfg.seed = rng.next_u64();
+  cfg.faults.partitions.push_back(PartitionEvent{2, 0.0, 8.0});
   SimNetwork net(std::move(graph), demand, cfg);
-  net.add_link_failure(0, 9, 0.0, 8.0);
-  net.add_link_failure(4, 5, 0.0, 8.0);
   const UpdateId left = net.schedule_write(2, "left", "L", 0.5);
   const UpdateId right = net.schedule_write(7, "right", "R", 0.5);
   net.run_until(8.0);

@@ -8,6 +8,7 @@
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 
 namespace fastcons::harness {
 namespace {
@@ -297,6 +298,20 @@ TEST(TrialRunner, TrialExceptionsPropagate) {
   RunOptions options;
   options.jobs = 4;
   EXPECT_THROW(run_scenario(spec, options), ConfigError);
+}
+
+TEST(Scenarios, TopologyFromPointBuildsErWaxmanAndComplete) {
+  for (const std::string kind : {"er", "waxman", "complete"}) {
+    SweepPoint point;
+    point.tags = {{"topo", kind}};
+    point.params = {{"n", 12}};
+    Rng rng(5);
+    const Graph graph = topology_from_point(point)(rng);
+    EXPECT_EQ(graph.size(), 12u) << kind;
+    if (kind == "complete") {
+      EXPECT_EQ(graph.edge_count(), 12u * 11u / 2u);
+    }
+  }
 }
 
 // --------------------------------------------------------- paper checks ----

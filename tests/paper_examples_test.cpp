@@ -6,7 +6,7 @@
 
 #include "demand/demand_table.hpp"
 #include "core/policy.hpp"
-#include "experiment/metrics.hpp"
+#include "stats/service_metrics.hpp"
 
 namespace fastcons {
 namespace {

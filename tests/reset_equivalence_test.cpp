@@ -14,12 +14,12 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "demand/demand_model.hpp"
-#include "experiment/propagation.hpp"
 #include "harness/registry.hpp"
 #include "harness/scenario.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/trial_context.hpp"
 #include "sim/simulator.hpp"
+#include "sim_runtime/propagation.hpp"
 #include "sim_runtime/sim_network.hpp"
 #include "topology/generators.hpp"
 
@@ -356,7 +356,9 @@ TEST(PropagationContextReuse, PooledTrialMatchesFreshTrialAndRngDraws) {
 
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng fresh_rng(seed);
-    const PropagationTrial fresh = run_propagation_trial(exp, fresh_rng);
+    PropagationContext fresh_ctx;
+    const PropagationTrial& fresh =
+        run_propagation_trial(exp, fresh_rng, fresh_ctx);
     Rng pooled_rng(seed);
     const PropagationTrial& reused =
         run_propagation_trial(exp, pooled_rng, pooled);

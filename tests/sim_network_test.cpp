@@ -33,7 +33,7 @@ TEST(SimNetworkTest, RejectsMismatchedDemandSize) {
 
 TEST(SimNetworkTest, RejectsBadLossRate) {
   SimConfig cfg = fast_sim();
-  cfg.loss_rate = 1.0;
+  cfg.faults.loss = 1.0;
   EXPECT_THROW(SimNetwork(line5(), static_demand({1, 1, 1, 1, 1}), cfg),
                ConfigError);
 }
@@ -143,7 +143,7 @@ TEST(SimNetworkTest, RunUntilConsistentMatchesTracker) {
 
 TEST(SimNetworkTest, LossySimulationStillConverges) {
   SimConfig cfg = fast_sim(3);
-  cfg.loss_rate = 0.2;
+  cfg.faults.loss = 0.2;
   SimNetwork net(line5(), static_demand({4, 6, 3, 8, 7}), cfg);
   const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
   EXPECT_TRUE(net.run_until_update_everywhere(id, 50.0));
@@ -151,10 +151,11 @@ TEST(SimNetworkTest, LossySimulationStillConverges) {
 }
 
 TEST(SimNetworkTest, PartitionHealsAndConverges) {
-  // Cut the only link between nodes 1-2 of the line for 5 time units: the
-  // far side cannot learn the update until the link heals.
-  SimNetwork net(line5(), static_demand({4, 6, 3, 8, 7}), fast_sim(4));
-  net.add_link_failure(1, 2, 0.0, 5.0);
+  // Split the line into {0, 1, 2} | {3, 4} for 5 time units: the far side
+  // cannot learn the update until the partition heals.
+  SimConfig cfg = fast_sim(4);
+  cfg.faults.partitions.push_back(PartitionEvent{2, 0.0, 5.0});
+  SimNetwork net(line5(), static_demand({4, 6, 3, 8, 7}), cfg);
   const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
   net.run_until(5.0);
   EXPECT_LT(net.nodes_holding(id), 5u);
@@ -245,18 +246,6 @@ TEST(SimNetworkTest, OverlayLinkLatencyIsHonoured) {
   const auto at = net.first_delivery(2, id);
   ASSERT_TRUE(at.has_value());
   EXPECT_GE(*at, 0.5 + 3 * 0.2 - 1e-9);
-}
-
-TEST(SimNetworkTest, FailureOnOverlayLinkDropsMessages) {
-  Rng rng(24);
-  Graph g = make_line(3, {0.01, 0.011}, rng);
-  std::vector<double> demand{1.0, 2.0, 50.0};
-  SimNetwork net(std::move(g), static_demand(demand), fast_sim(25));
-  net.add_overlay_link(0, 2, 0.05);
-  net.add_link_failure(0, 2, 0.0, 100.0);  // overlay permanently down
-  const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
-  EXPECT_TRUE(net.run_until_update_everywhere(id, 60.0));
-  EXPECT_GT(net.messages_dropped(), 0u);
 }
 
 TEST(SimNetworkTest, PeriodicTimingAlsoConverges) {

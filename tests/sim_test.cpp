@@ -310,7 +310,7 @@ TEST(SimulatorTest, SelfReschedulingTimerPattern) {
 
 TEST(SimulatorTest, OwnerVectorTimersRunIndependently) {
   // Several self-rescheduling timers owned by one vector sized up front
-  // (the read processes in experiment/workload.cpp): pointers into it stay
+  // (the read processes in sim_runtime/workload.cpp): pointers into it stay
   // valid, and each timer keeps its own period and fire count.
   Simulator sim;
   const std::vector<double> periods{1.0, 0.75, 2.5};

@@ -1,4 +1,4 @@
-#include "experiment/workload.hpp"
+#include "sim_runtime/workload.hpp"
 
 #include <gtest/gtest.h>
 
@@ -33,17 +33,18 @@ TEST(WorkloadTest, ValidatesConfig) {
   const Graph g = make_ring(5, {0.01, 0.02}, rng);
   SimConfig sim;
   sim.protocol = ProtocolConfig::fast();
+  SimNetworkPool pool;
   WorkloadConfig bad = small_workload();
   bad.keys = 0;
-  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad),
+  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad, pool),
                ConfigError);
   bad = small_workload();
   bad.write_interval = 0.0;
-  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad),
+  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad, pool),
                ConfigError);
   bad = small_workload();
   bad.warmup = bad.duration;
-  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad),
+  EXPECT_THROW(run_workload(Graph(g), uniform_demand(5, 2), sim, bad, pool),
                ConfigError);
 }
 
@@ -53,8 +54,9 @@ TEST(WorkloadTest, ProducesReadsAndWrites) {
   SimConfig sim;
   sim.protocol = ProtocolConfig::fast();
   sim.seed = 3;
-  const WorkloadResult result =
-      run_workload(std::move(g), uniform_demand(12, 4), sim, small_workload());
+  SimNetworkPool pool;
+  const WorkloadResult result = run_workload(
+      std::move(g), uniform_demand(12, 4), sim, small_workload(), pool);
   EXPECT_GT(result.writes, 5u);
   // ~12 nodes * ~27 demand * 26 effective units of reads ≈ thousands.
   EXPECT_GT(result.reads, 1000u);
@@ -71,8 +73,9 @@ TEST(WorkloadTest, DeterministicForSameSeeds) {
     SimConfig sim;
     sim.protocol = ProtocolConfig::fast();
     sim.seed = 6;
+    SimNetworkPool pool;
     return run_workload(std::move(g), uniform_demand(8, 7), sim,
-                        small_workload());
+                        small_workload(), pool);
   };
   const WorkloadResult a = run();
   const WorkloadResult b = run();
@@ -95,7 +98,8 @@ TEST(WorkloadTest, FastServesFresherThanWeak) {
     w.duration = 60.0;
     w.write_interval = 1.5;
     w.seed = 10;
-    return run_workload(std::move(g), uniform_demand(25, 11), sim, w);
+    SimNetworkPool pool;
+    return run_workload(std::move(g), uniform_demand(25, 11), sim, w, pool);
   };
   const WorkloadResult weak = run(ProtocolConfig::weak());
   const WorkloadResult fast = run(ProtocolConfig::fast());
@@ -111,8 +115,9 @@ TEST(WorkloadTest, NoWritesMeansAllReadsFresh) {
   sim.protocol = ProtocolConfig::fast();
   WorkloadConfig w = small_workload();
   w.write_interval = 1e9;  // effectively never writes
+  SimNetworkPool pool;
   const WorkloadResult result =
-      run_workload(std::move(g), uniform_demand(6, 13), sim, w);
+      run_workload(std::move(g), uniform_demand(6, 13), sim, w, pool);
   EXPECT_EQ(result.writes, 0u);
   EXPECT_EQ(result.fresh_reads, result.reads);
   EXPECT_DOUBLE_EQ(result.fresh_fraction(), 1.0);
@@ -124,8 +129,9 @@ TEST(WorkloadTest, ZeroDemandNodesIssueNoReads) {
   auto demand = std::make_shared<StaticDemand>(std::vector<double>{0, 0, 0, 0});
   SimConfig sim;
   sim.protocol = ProtocolConfig::fast();
+  SimNetworkPool pool;
   const WorkloadResult result =
-      run_workload(std::move(g), demand, sim, small_workload());
+      run_workload(std::move(g), demand, sim, small_workload(), pool);
   EXPECT_EQ(result.reads, 0u);
 }
 
@@ -139,8 +145,9 @@ TEST(WorkloadTest, ReadCountTracksDemand) {
   SimConfig sim;
   sim.protocol = ProtocolConfig::fast();
   sim.seed = 22;
+  SimNetworkPool pool;
   const WorkloadResult result =
-      run_workload(std::move(g), demand, sim, small_workload());
+      run_workload(std::move(g), demand, sim, small_workload(), pool);
   EXPECT_GT(result.reads, 420u);
   EXPECT_LT(result.reads, 620u);
 }
@@ -149,22 +156,20 @@ TEST(WorkloadTest, PooledRunsMatchFreshRuns) {
   // A pooled network is reset, not rebuilt, between runs; the read
   // processes are rebuilt per run, so every run replays a fresh one exactly,
   // also after the pool served a larger topology.
-  const auto run = [](std::size_t n, SimNetworkPool* pool) {
+  const auto run = [](std::size_t n, SimNetworkPool& pool) {
     Rng rng(23 + n);
     Graph g = make_barabasi_albert(n, 2, {0.01, 0.05}, rng);
     SimConfig sim;
     sim.protocol = ProtocolConfig::fast();
     sim.seed = 24;
-    auto demand = uniform_demand(n, 25);
-    return pool == nullptr
-               ? run_workload(std::move(g), demand, sim, small_workload())
-               : run_workload(std::move(g), demand, sim, small_workload(),
-                              *pool);
+    return run_workload(std::move(g), uniform_demand(n, 25), sim,
+                        small_workload(), pool);
   };
   SimNetworkPool pool;
   for (const std::size_t n : {12u, 20u, 9u}) {
-    const WorkloadResult fresh = run(n, nullptr);
-    const WorkloadResult pooled = run(n, &pool);
+    SimNetworkPool fresh_pool;
+    const WorkloadResult fresh = run(n, fresh_pool);
+    const WorkloadResult pooled = run(n, pool);
     EXPECT_EQ(pooled.reads, fresh.reads) << n;
     EXPECT_EQ(pooled.fresh_reads, fresh.fresh_reads) << n;
     EXPECT_EQ(pooled.writes, fresh.writes) << n;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -91,6 +92,12 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  const auto unsigned_value = [&](int& i, const char* flag) -> std::uint64_t {
+    const char* text = next_value(i, flag);
+    if (const auto value = parse_u64(text)) return *value;
+    std::fprintf(stderr, "error: bad %s value: %s\n", flag, text);
+    std::exit(2);
+  };
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -105,13 +112,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--sweep") == 0) {
       options.sweep_filter = next_value(i, arg);
     } else if (std::strcmp(arg, "--trials") == 0) {
-      options.trials = static_cast<std::size_t>(
-          std::strtoull(next_value(i, arg), nullptr, 10));
+      options.trials = unsigned_value(i, arg);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<std::size_t>(
-          std::strtoull(next_value(i, arg), nullptr, 10));
+      options.jobs = unsigned_value(i, arg);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.base_seed = std::strtoull(next_value(i, arg), nullptr, 10);
+      options.base_seed = unsigned_value(i, arg);
     } else if (std::strcmp(arg, "--smoke") == 0) {
       options.smoke = true;
     } else if (std::strcmp(arg, "--out") == 0) {

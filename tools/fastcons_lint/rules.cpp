@@ -435,9 +435,9 @@ void rule_throw_contracts(const ProgramIndex& index,
 
 const std::vector<std::string>& determinism_layers() {
   static const std::vector<std::string> kLayers = {
-      "common",     "core",    "sim",     "sim_runtime", "replication",
-      "demand",     "experiment", "topology", "islands", "harness",
-      "stats",      "durability", "health"};
+      "common", "core",     "sim",     "sim_runtime", "replication",
+      "demand", "topology", "islands", "harness",     "stats",
+      "durability", "health"};
   return kLayers;
 }
 
@@ -530,9 +530,8 @@ const std::vector<std::string>& digest_purity_layers() {
   // determinism_layers() minus harness and durability: their I/O (results
   // files, the WAL) is sanctioned and sits outside the digested values.
   static const std::vector<std::string> kLayers = {
-      "common", "core",       "sim",      "sim_runtime", "replication",
-      "demand", "experiment", "topology", "islands",     "stats",
-      "health"};
+      "common", "core",     "sim",     "sim_runtime", "replication",
+      "demand", "topology", "islands", "stats",       "health"};
   return kLayers;
 }
 

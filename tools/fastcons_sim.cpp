@@ -13,19 +13,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "common/error.hpp"
-#include "experiment/propagation.hpp"
+#include "common/parse.hpp"
+#include "common/types.hpp"
+#include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 #include "stats/table.hpp"
-#include "topology/generators.hpp"
 #include "topology/metrics.hpp"
 
 namespace {
 
 using namespace fastcons;
+using namespace fastcons::harness;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -37,38 +40,21 @@ using namespace fastcons;
   std::exit(2);
 }
 
-TopologyFactory topology_factory(const std::string& kind, std::size_t n) {
-  const LatencyRange lat{0.01, 0.05};
-  if (kind == "ba") {
-    return [n, lat](Rng& rng) { return make_barabasi_albert(n, 2, lat, rng); };
+/// A malformed or out-of-range flag value: exit 2 naming the flag.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& text) {
+  std::fprintf(stderr, "fastcons-sim: bad %s value: %s\n", flag.c_str(),
+               text.c_str());
+  std::exit(2);
+}
+
+/// The metric called `name` in one of a PointResult's name/value lists.
+template <typename T>
+const T& metric(const std::vector<std::pair<std::string, T>>& entries,
+                const std::string& name) {
+  for (const auto& [key, value] : entries) {
+    if (key == name) return value;
   }
-  if (kind == "er") {
-    const double p = std::min(1.0, 8.0 / static_cast<double>(n));
-    return [n, p, lat](Rng& rng) { return make_erdos_renyi(n, p, lat, rng); };
-  }
-  if (kind == "waxman") {
-    return [n, lat](Rng& rng) { return make_waxman(n, 0.6, 0.3, lat, rng); };
-  }
-  if (kind == "line") {
-    return [n, lat](Rng& rng) { return make_line(n, lat, rng); };
-  }
-  if (kind == "ring") {
-    return [n, lat](Rng& rng) { return make_ring(n, lat, rng); };
-  }
-  if (kind == "grid") {
-    const auto side = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
-    return [side, lat](Rng& rng) { return make_grid(side, side, lat, rng); };
-  }
-  if (kind == "star") {
-    return [n, lat](Rng& rng) { return make_star(n, lat, rng); };
-  }
-  if (kind == "tree") {
-    return [n, lat](Rng& rng) { return make_binary_tree(n, lat, rng); };
-  }
-  if (kind == "complete") {
-    return [n, lat](Rng& rng) { return make_complete(n, lat, rng); };
-  }
-  throw ConfigError("unknown topology kind: " + kind);
+  throw Error("missing result metric " + name);
 }
 
 }  // namespace
@@ -85,87 +71,113 @@ int main(int argc, char** argv) {
   double high_fraction = 0.10;
   bool print_cdf = false;
 
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= argc) usage(argv[0]);
-        return argv[++i];
-      };
-      if (arg == "--topology") topology = value();
-      else if (arg == "--nodes") nodes = std::stoul(value());
-      else if (arg == "--algorithm") algorithm = value();
-      else if (arg == "--reps") reps = std::stoul(value());
-      else if (arg == "--seed") seed = std::stoull(value());
-      else if (arg == "--demand") demand_kind = value();
-      else if (arg == "--fanout") fanout = std::stoul(value());
-      else if (arg == "--loss") loss = std::stod(value());
-      else if (arg == "--high-fraction") high_fraction = std::stod(value());
-      else if (arg == "--cdf") print_cdf = true;
-      else usage(argv[0]);
-    }
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) usage(argv[0]);
+      return argv[++i];
+    };
+    const auto count = [&](std::uint64_t min, std::uint64_t max) {
+      const std::string text = value();
+      const auto n = parse_u64(text, max);
+      if (!n || *n < min) bad_value(arg, text);
+      return *n;
+    };
+    const auto real = [&](double lo = -HUGE_VAL, double hi = HUGE_VAL) {
+      const std::string text = value();
+      const auto x = parse_double(text);
+      if (!x || !(*x >= lo && *x < hi)) bad_value(arg, text);
+      return *x;
+    };
+    if (arg == "--topology") topology = value();
+    else if (arg == "--nodes") nodes = count(1, kInvalidNode);
+    else if (arg == "--algorithm") algorithm = value();
+    else if (arg == "--reps") reps = count(1, UINT64_MAX);
+    else if (arg == "--seed") seed = count(0, UINT64_MAX);
+    else if (arg == "--demand") demand_kind = value();
+    else if (arg == "--fanout") fanout = count(1, kInvalidNode);
+    else if (arg == "--loss") loss = real(0.0, 1.0);
+    else if (arg == "--high-fraction") high_fraction = real();
+    else if (arg == "--cdf") print_cdf = true;
+    else usage(argv[0]);
+  }
 
-    PropagationExperiment exp;
-    exp.topology = topology_factory(topology, nodes);
+  try {
+    DemandFactory demand;
     if (demand_kind == "uniform") {
-      exp.demand = [](const Graph& g, Rng& rng) {
-        return std::make_shared<StaticDemand>(
-            make_uniform_random_demand(g.size(), 0.0, 100.0, rng));
-      };
+      demand = uniform_demand();
     } else if (demand_kind == "zipf") {
-      exp.demand = [](const Graph& g, Rng& rng) {
+      demand = [](const Graph& g, Rng& rng) {
         return std::make_shared<StaticDemand>(
             make_zipf_demand(g.size(), 1.0, 100.0, rng));
       };
     } else {
       throw ConfigError("unknown demand kind: " + demand_kind);
     }
-    if (algorithm == "fast") exp.sim.protocol = ProtocolConfig::fast();
-    else if (algorithm == "demand-order") exp.sim.protocol = ProtocolConfig::demand_order_only();
-    else if (algorithm == "weak") exp.sim.protocol = ProtocolConfig::weak();
-    else throw ConfigError("unknown algorithm: " + algorithm);
-    exp.sim.protocol.advert_period = 0.0;
-    exp.sim.protocol.fast_fanout = fanout;
-    exp.sim.loss_rate = loss;
-    exp.repetitions = reps;
-    exp.seed = seed;
-    exp.high_demand_fraction = high_fraction;
+    ProtocolConfig protocol = algorithm_config(algorithm);
+    protocol.fast_fanout = fanout;
+
+    // One sweep point through the runner every scenario uses: trial seeds
+    // come from derive_trial_seed and trials fan out over every core, with
+    // numbers identical for any core count.
+    SweepPoint point;
+    point.tags = {{"topo", topology}};
+    point.params = {{"n", static_cast<double>(nodes)},
+                    {"high_demand_fraction", high_fraction}};
+    if (topology == "grid") {
+      const double side = std::floor(std::sqrt(static_cast<double>(nodes)));
+      point.params.insert(point.params.end(), {{"w", side}, {"h", side}});
+    }
+    if (loss > 0.0) point.params.emplace_back("fault_loss", loss);
+    ScenarioSpec spec;
+    spec.name = "fastcons-sim";
+    spec.sweep = {point};
+    spec.trials = reps;
+    spec.run = [protocol, demand](const SweepPoint& p, std::uint64_t s,
+                                  TrialContext& ctx) {
+      return propagation_trial(p, s, protocol, demand, ctx);
+    };
+    RunOptions options;
+    options.jobs = 0;
+    options.base_seed = seed;
 
     // Structural context from one sample topology.
     Rng probe(seed);
-    const Graph sample = exp.topology(probe);
+    const Graph sample = topology_from_point(point)(probe);
     std::printf("fastcons-sim: %s, %zu nodes (diameter %zu), %s demand, "
                 "algorithm %s, %zu reps, loss %.2f\n",
                 topology.c_str(), sample.size(), diameter(sample),
                 demand_kind.c_str(), algorithm.c_str(), reps, loss);
 
-    const PropagationResult result = run_propagation(exp);
+    const PointResult result = run_scenario(spec, options).points.at(0);
+    const EmpiricalCdf& all = metric(result.samples, "sessions_all");
+    const EmpiricalCdf& high = metric(result.samples, "sessions_high_demand");
+    const std::uint64_t trials = result.trials;
     Table summary({"metric", "value"});
-    summary.add_row({"mean sessions (per replica)",
-                     Table::num(result.all.mean())});
+    summary.add_row({"mean sessions (per replica)", Table::num(all.mean())});
     summary.add_row({"mean sessions (high-demand subset)",
-                     Table::num(result.high_demand.mean())});
+                     Table::num(high.mean())});
     summary.add_row({"mean sessions to ALL replicas",
-                     Table::num(result.time_to_full.mean())});
+                     Table::num(metric(result.values, "time_to_full").mean())});
     summary.add_row({"median / p90 / p99",
-                     Table::num(result.all.quantile(0.5), 2) + " / " +
-                         Table::num(result.all.quantile(0.9), 2) + " / " +
-                         Table::num(result.all.quantile(0.99), 2)});
+                     Table::num(all.quantile(0.5), 2) + " / " +
+                         Table::num(all.quantile(0.9), 2) + " / " +
+                         Table::num(all.quantile(0.99), 2)});
     summary.add_row({"repetitions converged",
-                     Table::num(result.reps_converged) + "/" +
-                         Table::num(result.reps_total)});
+                     Table::num(metric(result.counters, "trials_converged")) +
+                         "/" + Table::num(trials)});
     summary.add_row({"messages / repetition",
-                     Table::num(result.traffic.total_messages() /
-                                result.reps_total)});
+                     Table::num(metric(result.counters, "messages_total") /
+                                trials)});
     summary.add_row({"wire bytes / repetition",
-                     Table::num(result.traffic.total_bytes() /
-                                result.reps_total)});
+                     Table::num(metric(result.counters, "bytes_total") /
+                                trials)});
     summary.print(std::cout);
 
     if (print_cdf) {
       Table cdf({"sessions", "P(delivered)"});
       for (double x = 0.0; x <= 12.0 + 1e-9; x += 0.5) {
-        cdf.add_row({Table::num(x, 1), Table::num(result.all.at(x))});
+        cdf.add_row({Table::num(x, 1), Table::num(all.at(x))});
       }
       std::cout << '\n';
       cdf.print(std::cout);
