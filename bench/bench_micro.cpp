@@ -159,7 +159,7 @@ void BM_PartnerChoose(benchmark::State& state, PartnerSelection selection) {
   for (std::size_t i = 0; i < n; ++i) neighbours[i] = static_cast<NodeId>(i);
   DemandTable table(neighbours);
   for (const NodeId peer : neighbours) {
-    table.update(peer, rng.uniform(0.0, 100.0), 0.0);
+    table.update(peer, rng.uniform(0.0, 100.0));
   }
   const std::unique_ptr<PartnerPolicy> policy = make_policy(selection);
   for (auto _ : state) {
@@ -174,8 +174,8 @@ BENCHMARK_CAPTURE(BM_PartnerChoose, demand, PartnerSelection::demand_dynamic)
     ->Arg(8)
     ->Arg(64);
 
-void BM_DemandTableTouch(benchmark::State& state) {
-  // ReplicaEngine::handle touches the table on every message, so this
+void BM_DemandTableUpdate(benchmark::State& state) {
+  // Every DemandAdvert the engine handles updates the table, so this
   // lookup is the hottest demand-layer path. Must stay O(1) in the
   // neighbour count (it was a linear scan once; the Args show the scaling).
   Rng rng(7);
@@ -185,18 +185,18 @@ void BM_DemandTableTouch(benchmark::State& state) {
   DemandTable table(neighbours);
   std::vector<NodeId> probe(1024);
   for (auto& p : probe) p = static_cast<NodeId>(rng.index(n));
-  double now = 0.0;
+  double demand = 0.0;
   for (auto _ : state) {
     for (const NodeId peer : probe) {
-      now += 1e-6;
-      table.touch(peer, now);
+      demand += 1e-6;
+      table.update(peer, demand);
     }
     benchmark::DoNotOptimize(table.entries().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(probe.size()));
 }
-BENCHMARK(BM_DemandTableTouch)->Arg(8)->Arg(256)->Arg(4096);
+BENCHMARK(BM_DemandTableUpdate)->Arg(8)->Arg(256)->Arg(4096);
 
 void BM_SimulatorEventChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -71,9 +71,6 @@ struct ProtocolConfig {
   /// (tables then keep whatever they were primed with — the static model).
   SimTime advert_period = 0.25;
 
-  /// Neighbour considered dead after this silence; <= 0 disables liveness.
-  SimTime liveness_window = 0.0;
-
   /// Abandon sessions/offers with no progress for this long.
   SimTime session_timeout = 0.75;
 

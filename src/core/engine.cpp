@@ -33,7 +33,7 @@ ReplicaEngine::ReplicaEngine(NodeId self, std::vector<NodeId> neighbours,
     : self_(self),
       config_(config),
       rng_(seed),
-      table_(std::move(neighbours), config.liveness_window),
+      table_(std::move(neighbours)),
       policy_(make_policy(config.selection)) {
   FASTCONS_EXPECTS(config_.session_period > 0.0);
   FASTCONS_EXPECTS(config_.fast_fanout >= 1);
@@ -59,7 +59,7 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
   config_ = config;
   rng_ = Rng(seed);
   log_.clear();
-  table_.reset(neighbours, config.liveness_window);
+  table_.reset(neighbours);
   health_.reset(config_.health);
   for (const DemandEntry& entry : table_.entries()) {
     health_.add_peer(entry.peer, 0.0);
@@ -77,12 +77,12 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
 }
 
 void ReplicaEngine::prime_neighbour_demand(NodeId peer, double demand,
-                                           SimTime now) {
-  table_.update(peer, demand, now);
+                                           SimTime /*now*/) {
+  table_.update(peer, demand);
 }
 
 void ReplicaEngine::add_overlay_neighbour(NodeId peer, SimTime now) {
-  table_.add_neighbour(peer, now);
+  table_.add_neighbour(peer);
   health_.add_peer(peer, now);
   policy_->reset();
 }
@@ -388,27 +388,19 @@ std::vector<Outbound> ReplicaEngine::on_advert_timer(SimTime now) {
   return out;
 }
 
-void ReplicaEngine::on_advert_timer(SimTime now, std::vector<Outbound>& out) {
-  // Dead neighbours are skipped — except one revival probe per tick,
-  // rotating through them. Every other send path (sessions, fast push)
-  // already filters to alive peers, so without the probe two peers that
-  // expire each other's windows would never exchange traffic again.
-  const NodeId probe = table_.next_dead_probe(now);
+void ReplicaEngine::on_advert_timer(SimTime /*now*/,
+                                    std::vector<Outbound>& out) {
+  // Every neighbour, down ones included: adverts are the recovery channel
+  // that lets a down peer hear from us and answer, so they are never
+  // health-gated.
   for (const DemandEntry& entry : table_.entries()) {
-    if (!table_.is_alive(entry, now)) {
-      if (entry.peer != probe) {
-        ++stats_.adverts_skipped_dead;
-        continue;
-      }
-      ++stats_.adverts_probed_dead;
-    }
     send(out, entry.peer, DemandAdvert{own_demand_});
   }
 }
 
 void ReplicaEngine::on_demand_advert(NodeId from, const DemandAdvert& m,
-                                     SimTime now, std::vector<Outbound>&) {
-  table_.update(from, m.demand, now);
+                                     SimTime, std::vector<Outbound>&) {
+  table_.update(from, m.demand);
 }
 
 // --------------------------------------------------------------------------
@@ -430,7 +422,7 @@ EngineSnapshot ReplicaEngine::snapshot() const {
   return s;
 }
 
-void ReplicaEngine::restore(EngineSnapshot snapshot, SimTime now) {
+void ReplicaEngine::restore(EngineSnapshot snapshot) {
   FASTCONS_EXPECTS(snapshot.self == self_);
   // The write counter must resume past every sequence number this origin
   // ever issued: the checkpointed counter covers checkpointed (and
@@ -445,11 +437,10 @@ void ReplicaEngine::restore(EngineSnapshot snapshot, SimTime now) {
   next_session_ = snapshot.next_session;
   next_offer_ = snapshot.next_offer;
   own_demand_ = snapshot.own_demand;
-  // Demand figures are stale by exactly the downtime; restoring them stamped
-  // `now` keeps the neighbours usable for demand-ordered catch-up until the
-  // first fresh adverts overwrite them.
+  // Demand figures are stale by exactly the downtime; they order the
+  // demand-hot-first catch-up until the first fresh adverts overwrite them.
   for (const auto& [peer, demand] : snapshot.neighbour_demand) {
-    table_.update(peer, demand, now);
+    table_.update(peer, demand);
   }
 }
 
@@ -475,11 +466,9 @@ std::vector<Outbound> ReplicaEngine::handle(NodeId from, Message&& msg,
 void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
                            std::vector<Outbound>& out) {
   // Any message proves the sender and the link are alive (§4: the table
-  // "tells us if this replica is available").
-  table_.touch(from, now);
-  // First contact after a `down` verdict re-promotes the peer: the tracker
-  // clears its failure run, so demand decay stops on the very next
-  // selection pass.
+  // "tells us if this replica is available"). First contact after a `down`
+  // verdict re-promotes the peer: the tracker clears its failure run, so
+  // demand decay stops on the very next selection pass.
   if (health_.enabled()) health_.record_contact(from, now);
   std::visit(
       [&](auto&& m) {

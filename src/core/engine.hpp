@@ -78,8 +78,6 @@ struct EngineStats {
   std::uint64_t duplicate_updates = 0;  ///< payloads received but already known
   std::uint64_t updates_applied = 0;    ///< novel updates applied locally
   std::uint64_t payloads_truncated = 0;  ///< discarded by auto-truncation
-  std::uint64_t adverts_skipped_dead = 0;  ///< advert broadcasts not sent to dead neighbours
-  std::uint64_t adverts_probed_dead = 0;  ///< revival probes sent to dead neighbours
   /// Fast pushes withheld by health decay: the raw demand gradient would
   /// have selected the peer, but its decayed (suspect) demand did not clear
   /// our own. Always 0 with health disabled.
@@ -232,7 +230,7 @@ class ReplicaEngine {
   /// truncated payloads survives, and the write counter resumes past both
   /// the snapshot's counter and any replayed self-origin write. Hooks do NOT
   /// fire for restored updates — they were delivered before the crash.
-  void restore(EngineSnapshot snapshot, SimTime now);
+  void restore(EngineSnapshot snapshot);
 
   /// Sessions this engine initiated that have not completed or expired.
   std::size_t inflight_sessions() const noexcept { return sessions_.size(); }

@@ -13,13 +13,13 @@ NodeId RandomPolicy::choose(const DemandTable& table, SimTime now, Rng& rng,
   const std::vector<DemandEntry>& entries = table.entries();
   std::size_t count = 0;
   for (const DemandEntry& entry : entries) {
-    if (table.eligible(entry, now, health)) ++count;
+    if (DemandTable::eligible(entry.peer, now, health)) ++count;
   }
   if (count == 0) return kInvalidNode;
   std::size_t skip = rng.index(count);
   if (count == entries.size()) return entries[skip].peer;  // none skipped
   for (const DemandEntry& entry : entries) {
-    if (!table.eligible(entry, now, health)) continue;
+    if (!DemandTable::eligible(entry.peer, now, health)) continue;
     if (skip == 0) return entry.peer;
     --skip;
   }
@@ -61,12 +61,8 @@ NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
     for (const RankedPeer& ranked : frozen_order_) {
       const NodeId peer = ranked.peer;
       if (!visit(peer)) continue;
-      // Skip silently if the peer died after the order froze.
-      if (!table.is_alive(peer, now)) continue;
-      if (health != nullptr && health->enabled() &&
-          health->state(peer, now) == PeerHealth::down) {
-        continue;
-      }
+      // Skip silently if the peer went down after the order froze.
+      if (!DemandTable::eligible(peer, now, health)) continue;
       return peer;
     }
     frozen_order_.clear();  // cycle exhausted; refreeze next attempt

@@ -20,7 +20,7 @@ class PartnerPolicy {
   virtual ~PartnerPolicy() = default;
 
   /// Returns the chosen neighbour or kInvalidNode when none is eligible
-  /// (e.g. all neighbours dead). `health`, when non-null, excludes peers
+  /// (e.g. every neighbour down). `health`, when non-null, excludes peers
   /// the tracker derives `down` and decays suspect peers' demand in the
   /// selection order; nullptr is health-blind (the historical behaviour).
   virtual NodeId choose(const DemandTable& table, SimTime now, Rng& rng,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace fastcons {
 
 namespace {
@@ -20,24 +18,16 @@ auto index_lower_bound(const std::vector<std::pair<NodeId, std::uint32_t>>& inde
 
 }  // namespace
 
-DemandTable::DemandTable(std::vector<NodeId> neighbours,
-                         SimTime liveness_window)
-    : liveness_window_(liveness_window) {
+DemandTable::DemandTable(std::vector<NodeId> neighbours) {
   entries_.reserve(neighbours.size());
   index_.reserve(neighbours.size());
-  for (const NodeId peer : neighbours) {
-    add_neighbour(peer, 0.0);
-  }
+  for (const NodeId peer : neighbours) add_neighbour(peer);
 }
 
-void DemandTable::reset(const std::vector<NodeId>& neighbours,
-                        SimTime liveness_window) {
-  liveness_window_ = liveness_window;
+void DemandTable::reset(const std::vector<NodeId>& neighbours) {
   entries_.clear();
   index_.clear();
-  for (const NodeId peer : neighbours) {
-    add_neighbour(peer, 0.0);
-  }
+  for (const NodeId peer : neighbours) add_neighbour(peer);
 }
 
 const DemandEntry* DemandTable::find(NodeId peer) const {
@@ -47,20 +37,12 @@ const DemandEntry* DemandTable::find(NodeId peer) const {
 }
 
 DemandEntry* DemandTable::find(NodeId peer) {
-  const auto it = index_lower_bound(index_, peer);
-  if (it == index_.end() || it->first != peer) return nullptr;
-  return &entries_[it->second];
+  return const_cast<DemandEntry*>(
+      static_cast<const DemandTable*>(this)->find(peer));
 }
 
-void DemandTable::update(NodeId peer, double demand, SimTime now) {
-  if (DemandEntry* entry = find(peer)) {
-    entry->demand = demand;
-    entry->last_heard = now;
-  }
-}
-
-void DemandTable::touch(NodeId peer, SimTime now) {
-  if (DemandEntry* entry = find(peer)) entry->last_heard = now;
+void DemandTable::update(NodeId peer, double demand) {
+  if (DemandEntry* entry = find(peer)) entry->demand = demand;
 }
 
 std::optional<double> DemandTable::demand_of(NodeId peer) const {
@@ -69,33 +51,12 @@ std::optional<double> DemandTable::demand_of(NodeId peer) const {
   return entry->demand;
 }
 
-bool DemandTable::is_alive(NodeId peer, SimTime now) const {
-  const DemandEntry* entry = find(peer);
-  if (entry == nullptr) return false;
-  return is_alive(*entry, now);
-}
-
-NodeId DemandTable::next_dead_probe(SimTime now) {
-  DemandEntry* oldest = nullptr;
-  for (auto& entry : entries_) {
-    if (is_alive(entry, now)) continue;
-    if (oldest == nullptr || entry.last_probed < oldest->last_probed ||
-        (entry.last_probed == oldest->last_probed &&
-         entry.peer < oldest->peer)) {
-      oldest = &entry;
-    }
-  }
-  if (oldest == nullptr) return kInvalidNode;
-  oldest->last_probed = now;
-  return oldest->peer;
-}
-
 void DemandTable::by_demand_desc(SimTime now, const PeerHealthTracker* health,
                                  std::vector<RankedPeer>& ranked) const {
   if (health != nullptr && !health->enabled()) health = nullptr;
   ranked.clear();
   for (const DemandEntry& entry : entries_) {
-    if (!eligible(entry, now, health)) continue;
+    if (!eligible(entry.peer, now, health)) continue;
     const double factor =
         health == nullptr ? 1.0 : health->demand_factor(entry.peer, now);
     ranked.push_back(RankedPeer{entry.demand * factor, entry.peer});
@@ -122,16 +83,16 @@ std::vector<NodeId> DemandTable::alive(SimTime now,
   std::vector<NodeId> result;
   result.reserve(entries_.size());
   for (const auto& entry : entries_) {
-    if (eligible(entry, now, health)) result.push_back(entry.peer);
+    if (eligible(entry.peer, now, health)) result.push_back(entry.peer);
   }
   return result;
 }
 
-void DemandTable::add_neighbour(NodeId peer, SimTime now) {
+void DemandTable::add_neighbour(NodeId peer) {
   const auto it = index_lower_bound(index_, peer);
   if (it != index_.end() && it->first == peer) return;
   index_.insert(it, {peer, static_cast<std::uint32_t>(entries_.size())});
-  entries_.push_back(DemandEntry{peer, 0.0, now});
+  entries_.push_back(DemandEntry{peer, 0.0});
 }
 
 }  // namespace fastcons

@@ -35,13 +35,13 @@ TrialResult sec2_trial(const SweepPoint&, std::uint64_t, TrialContext& ctx) {
   // B's demand-ordered cycle: paper best case B-D, B-E, B-A, B-C.
   const std::vector<NodeId> b_neighbours{0, 2, 3, 4};
   if (pooled.b_table.has_value()) {
-    pooled.b_table->reset(b_neighbours, 0.0);
+    pooled.b_table->reset(b_neighbours);
   } else {
     pooled.b_table.emplace(b_neighbours);
   }
   DemandTable& b_table = *pooled.b_table;
   for (const NodeId peer : {0u, 2u, 3u, 4u}) {
-    b_table.update(peer, demands[peer], 0.0);
+    b_table.update(peer, demands[peer]);
   }
   const auto order = b_table.by_demand_desc(0.0);
   const bool order_ok = order == std::vector<NodeId>{3, 4, 0, 2};

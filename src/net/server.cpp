@@ -72,14 +72,13 @@ void ReplicaServer::start() {
   // is taken. The loop thread does not exist yet, but the blocking-under-
   // lock discipline holds unconditionally — zero exceptions keeps it
   // checkable (and checked: fastcons_lint's blocking-under-lock rule).
-  RecoveryStats rs;
+  recovery_ = RecoveryInfo{};
   EngineSnapshot snapshot;
-  bool recovery_attempted = false;
   std::chrono::steady_clock::time_point recover_t0{};
   if (store_ != nullptr) {
-    recovery_attempted = true;
+    recovery_.attempted = true;
     recover_t0 = std::chrono::steady_clock::now();
-    snapshot = store_->recover(config_.self, rs);
+    snapshot = store_->recover(config_.self, recovery_);
   }
   {
     const MutexLock lock(engine_mutex_);
@@ -88,19 +87,12 @@ void ReplicaServer::start() {
                                               config_.protocol,
                                               timer_rng_.next_u64());
     engine_->set_own_demand(config_.demand);
-    recovery_ = RecoveryInfo{};
     catchup_queue_.clear();
     catchup_pending_ = false;
-    if (recovery_attempted) {
-      recovery_.attempted = true;
-      recovery_.had_checkpoint = rs.had_checkpoint;
-      recovery_.wal_torn_tail = rs.wal_torn_tail;
-      recovery_.checkpoint_updates = rs.checkpoint_updates;
-      recovery_.wal_records = rs.wal_records;
-      recovery_.wal_bytes = rs.wal_bytes;
-      if (rs.recovered_anything()) {
+    if (recovery_.attempted) {
+      if (recovery_.recovered_anything()) {
         recovery_.recovered_from_disk = true;
-        engine_->restore(std::move(snapshot), 0.0);
+        engine_->restore(std::move(snapshot));
         // The configured demand wins over the (stale) checkpointed one.
         engine_->set_own_demand(config_.demand);
         recovery_.restored_updates = engine_->summary().total();

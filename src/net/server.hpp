@@ -157,17 +157,13 @@ struct ServerConfig {
   DurabilityConfig durability;
 };
 
-/// What a durable server found on disk at start(). Immutable once start()
+/// What a durable server found on disk at start(): DurableStore::recover's
+/// RecoveryStats plus what the server made of them. Immutable once start()
 /// returns (except catchup_remaining, queried separately).
-struct RecoveryInfo {
+struct RecoveryInfo : RecoveryStats {
   bool attempted = false;            ///< durable mode was on
   bool recovered_from_disk = false;  ///< checkpoint and/or WAL had state
-  bool had_checkpoint = false;
-  bool wal_torn_tail = false;  ///< corrupt tail discarded (crash mid-append)
-  std::uint64_t checkpoint_updates = 0;  ///< payloads in the checkpoint
-  std::uint64_t wal_records = 0;         ///< WAL records replayed
-  std::uint64_t wal_bytes = 0;           ///< valid WAL prefix bytes
-  std::uint64_t restored_updates = 0;    ///< distinct updates in the engine
+  std::uint64_t restored_updates = 0;  ///< distinct updates in the engine
   /// Wall-clock ms to read, verify and apply checkpoint + WAL (local
   /// recovery only; network catch-up is measured by the caller).
   double load_ms = 0.0;

@@ -158,7 +158,7 @@ TEST(DemandSnapshotTest, SamplesEveryNode) {
 
 TEST(DemandTableTest, UpdateAndQuery) {
   DemandTable table({1, 2, 3});
-  table.update(2, 9.0, 1.0);
+  table.update(2, 9.0);
   EXPECT_EQ(table.demand_of(2), 9.0);
   EXPECT_EQ(table.demand_of(1), 0.0);
   EXPECT_FALSE(table.demand_of(99).has_value());
@@ -166,16 +166,16 @@ TEST(DemandTableTest, UpdateAndQuery) {
 
 TEST(DemandTableTest, UnknownPeerUpdateIgnored) {
   DemandTable table({1});
-  table.update(42, 5.0, 1.0);
+  table.update(42, 5.0);
   EXPECT_FALSE(table.demand_of(42).has_value());
 }
 
 TEST(DemandTableTest, OrderByDemandWithIdTieBreak) {
   DemandTable table({1, 2, 3, 4});
-  table.update(1, 5.0, 0.0);
-  table.update(2, 8.0, 0.0);
-  table.update(3, 5.0, 0.0);
-  table.update(4, 1.0, 0.0);
+  table.update(1, 5.0);
+  table.update(2, 8.0);
+  table.update(3, 5.0);
+  table.update(4, 1.0);
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{2, 1, 3, 4}));
 }
 
@@ -183,51 +183,19 @@ TEST(DemandTableTest, PaperSection2Ordering) {
   // B's neighbours A(4), C(3), D(8), E(7) must order D, E, A, C — the
   // paper's "best case" session order.
   DemandTable table({0 /*A*/, 2 /*C*/, 3 /*D*/, 4 /*E*/});
-  table.update(0, 4.0, 0.0);
-  table.update(2, 3.0, 0.0);
-  table.update(3, 8.0, 0.0);
-  table.update(4, 7.0, 0.0);
+  table.update(0, 4.0);
+  table.update(2, 3.0);
+  table.update(3, 8.0);
+  table.update(4, 7.0);
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{3, 4, 0, 2}));
-}
-
-TEST(DemandTableTest, LivenessWindowExpiresSilentPeers) {
-  DemandTable table({1, 2}, /*liveness_window=*/1.0);
-  table.update(1, 5.0, 0.0);
-  table.update(2, 3.0, 0.0);
-  EXPECT_TRUE(table.is_alive(1, 0.5));
-  EXPECT_TRUE(table.is_alive(1, 1.0));   // boundary inclusive
-  EXPECT_FALSE(table.is_alive(1, 1.01));
-  table.touch(1, 1.5);
-  EXPECT_TRUE(table.is_alive(1, 2.0));
-  EXPECT_FALSE(table.is_alive(2, 2.0));
-  EXPECT_EQ(table.by_demand_desc(2.0), (std::vector<NodeId>{1}));
-  EXPECT_EQ(table.alive(2.0), (std::vector<NodeId>{1}));
-}
-
-TEST(DemandTableTest, DisabledLivenessKeepsEveryoneAlive) {
-  DemandTable table({1}, /*liveness_window=*/0.0);
-  EXPECT_TRUE(table.is_alive(1, 1e9));
-}
-
-TEST(DemandTableTest, TouchDoesNotChangeDemand) {
-  DemandTable table({1}, 1.0);
-  table.update(1, 7.0, 0.0);
-  table.touch(1, 10.0);
-  EXPECT_EQ(table.demand_of(1), 7.0);
-  EXPECT_TRUE(table.is_alive(1, 10.5));
 }
 
 TEST(DemandTableTest, AddNeighbourIsIdempotent) {
   DemandTable table({1});
-  table.add_neighbour(5, 2.0);
-  table.add_neighbour(5, 3.0);
+  table.add_neighbour(5);
+  table.add_neighbour(5);
   EXPECT_EQ(table.entries().size(), 2u);
   EXPECT_TRUE(table.demand_of(5).has_value());
-}
-
-TEST(DemandTableTest, IsAliveUnknownPeer) {
-  DemandTable table({1});
-  EXPECT_FALSE(table.is_alive(9, 0.0));
 }
 
 }  // namespace

@@ -371,7 +371,7 @@ TEST(DurableStoreTest, CheckpointWalOverlapIsIdempotentThroughRestore) {
   EXPECT_EQ(snapshot.updates.size(), 4u);  // overlap present pre-restore
 
   ReplicaEngine engine(1, {4}, ProtocolConfig::fast(), 7);
-  engine.restore(snapshot, 0.0);
+  engine.restore(snapshot);
   EXPECT_EQ(engine.summary().total(), 2u);
   EXPECT_EQ(engine.log().all_retained().size(), 2u);
   EXPECT_EQ(engine.read("k1"), "v1");
@@ -413,7 +413,7 @@ TEST(EngineSnapshotTest, SnapshotRestoreReproducesStateAndResumesWriteSeq) {
   ASSERT_EQ(snapshot.neighbour_demand.size(), 2u);
 
   ReplicaEngine restored(0, {1, 2}, ProtocolConfig::fast(), 999);
-  restored.restore(snapshot, 1.0);
+  restored.restore(snapshot);
   EXPECT_EQ(restored.summary(), original.summary());
   EXPECT_EQ(restored.log().kv_digest(), original.log().kv_digest());
   EXPECT_EQ(restored.read("x"), "1");
@@ -438,7 +438,7 @@ TEST(EngineSnapshotTest, RestoreDoesNotFireDeliveryHooks) {
     ++deliveries;
   };
   restored.set_hooks(std::move(hooks));
-  restored.restore(original.snapshot(), 0.0);
+  restored.restore(original.snapshot());
   // Restored updates were delivered before the crash; replaying the hook
   // would double-count them in any observer (including the WAL appender,
   // which would then re-log every recovered update).

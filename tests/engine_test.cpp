@@ -372,44 +372,15 @@ TEST(EngineTest, AdvertUpdatesNeighbourTable) {
   EXPECT_EQ(b.demand_table().demand_of(2), 17.0);
 }
 
-TEST(EngineTest, AnyMessageRefreshesLiveness) {
+TEST(EngineTest, AdvertTimerReachesDownNeighbours) {
+  // Adverts are the recovery channel: health never gates them, so a peer
+  // the tracker derives `down` still hears our demand and can answer.
   ProtocolConfig cfg = fast_config();
-  cfg.liveness_window = 1.0;
-  ReplicaEngine b(1, {2}, cfg, 1);
-  b.prime_neighbour_demand(2, 5.0, 0.0);
-  EXPECT_FALSE(b.demand_table().is_alive(2, 5.0));
-  b.handle(2, Message{SessionRequest{99}}, 5.0);
-  EXPECT_TRUE(b.demand_table().is_alive(2, 5.5));
-}
-
-TEST(EngineTest, AdvertTimerSkipsDeadNeighboursButProbesOne) {
-  ProtocolConfig cfg = fast_config();
-  cfg.liveness_window = 1.0;
-  ReplicaEngine b(1, {2, 3, 4}, cfg, 1);
-  b.set_own_demand(42.0);
-  b.prime_neighbour_demand(2, 5.0, 0.0);
-  b.prime_neighbour_demand(3, 5.0, 0.0);
-  b.prime_neighbour_demand(4, 5.0, 0.0);
-  // Node 2 spoke recently; nodes 3 and 4 have been silent past the window.
-  b.handle(2, Message{DemandAdvert{5.0}}, 4.5);
-  const auto out = b.on_advert_timer(5.0);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].to, 2u);
-  EXPECT_EQ(out[1].to, 3u);  // one dead neighbour probed for revival
-  EXPECT_EQ(b.stats().adverts_skipped_dead, 1u);
-  EXPECT_EQ(b.stats().adverts_probed_dead, 1u);
-  // The next tick rotates the probe to the other dead neighbour, so a
-  // silent peer is never starved of the traffic that could revive it.
-  const auto next = b.on_advert_timer(5.1);
-  ASSERT_EQ(next.size(), 2u);
-  EXPECT_EQ(next[1].to, 4u);
-  EXPECT_EQ(b.stats().adverts_skipped_dead, 2u);
-}
-
-TEST(EngineTest, AdvertTimerWithoutLivenessBroadcastsToAll) {
-  ReplicaEngine b(1, {2, 3}, fast_config(), 1);  // liveness disabled
+  cfg.health.enabled = true;
+  ReplicaEngine b(1, {2, 3}, cfg, 1);
+  ASSERT_EQ(b.peer_health().state(2, 100.0), PeerHealth::down);
+  ASSERT_EQ(b.peer_health().state(3, 100.0), PeerHealth::down);
   EXPECT_EQ(b.on_advert_timer(100.0).size(), 2u);
-  EXPECT_EQ(b.stats().adverts_skipped_dead, 0u);
 }
 
 TEST(EngineTest, OverlayNeighbourBecomesEligibleTarget) {

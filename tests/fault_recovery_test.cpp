@@ -168,7 +168,7 @@ TEST(FaultRecovery, SnapshotRestoreIsLosslessAfterChurn) {
       }
       ReplicaEngine restored(node, neighbours, original.config(),
                              seed ^ 0xFFu);
-      restored.restore(snapshot, 9.0);
+      restored.restore(snapshot);
       EXPECT_EQ(restored.summary(), original.summary())
           << seed << " node " << node;
       EXPECT_EQ(restored.log().kv_digest(), original.log().kv_digest())

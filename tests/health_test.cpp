@@ -118,9 +118,9 @@ TEST(PeerHealthTest, DemandTableSelectionDecaysSuspectAndDropsDown) {
   t.record_contact(2, 4.0);
   t.record_contact(3, 2.4);
   DemandTable table({1, 2, 3});
-  table.update(1, 10.0, 0.0);
-  table.update(2, 8.0, 0.0);
-  table.update(3, 40.0, 0.0);
+  table.update(1, 10.0);
+  table.update(2, 8.0);
+  table.update(3, 40.0);
 
   const auto ranked = table.by_demand_desc(3.9, &t);
   ASSERT_EQ(ranked.size(), 3u);  // nobody down yet at t=3.9

@@ -10,16 +10,23 @@
 namespace fastcons {
 namespace {
 
-DemandTable table_with(const std::map<NodeId, double>& demands,
-                       SimTime liveness = 0.0) {
+DemandTable table_with(const std::map<NodeId, double>& demands) {
   std::vector<NodeId> peers;
   for (const auto& [peer, d] : demands) {
     (void)d;
     peers.push_back(peer);
   }
-  DemandTable table(peers, liveness);
-  for (const auto& [peer, d] : demands) table.update(peer, d, 0.0);
+  DemandTable table(peers);
+  for (const auto& [peer, d] : demands) table.update(peer, d);
   return table;
+}
+
+/// A tracker over `peers`, all last heard at t=0. With the default
+/// HealthConfig a peer silent for down_after (4.0) or longer is down.
+PeerHealthTracker health_for(const std::vector<NodeId>& peers) {
+  HealthConfig cfg;
+  cfg.enabled = true;
+  return PeerHealthTracker(peers, cfg, 0.0);
 }
 
 TEST(RandomPolicyTest, ReturnsOnlyNeighbours) {
@@ -63,28 +70,30 @@ TEST(RandomPolicyTest, EmptyTableReturnsInvalid) {
 TEST(RandomPolicyTest, SkipsDeadNeighbours) {
   RandomPolicy policy;
   Rng rng(5);
-  DemandTable table({1, 2}, /*liveness=*/1.0);
-  table.update(1, 1.0, 0.0);  // 2 never heard from
-  table.touch(1, 5.0);
+  const DemandTable table = table_with({{1, 1.0}, {2, 0.0}});
+  PeerHealthTracker health = health_for({1, 2});
+  health.record_contact(1, 5.0);  // 2 silent since t=0: down at t=5
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(policy.choose(table, 5.0, rng), 1u);
+    EXPECT_EQ(policy.choose(table, 5.0, rng, &health), 1u);
   }
 }
 
 TEST(RandomPolicyTest, DrawsAsIndexingTheAliveList) {
   // The pick must equal alive()[rng.index(alive().size())] draw for draw,
-  // with every neighbour alive and with some dead: the simulated digests
+  // with every neighbour up and with some down: the simulated digests
   // depend on it.
   RandomPolicy policy;
-  DemandTable table({4, 9, 1, 7, 3, 8, 2}, /*liveness=*/1.0);
-  for (const NodeId peer : {4, 1, 3, 2}) table.touch(peer, 5.0);
+  const std::vector<NodeId> peers{4, 9, 1, 7, 3, 8, 2};
+  const DemandTable table(peers);
+  PeerHealthTracker health = health_for(peers);
+  for (const NodeId peer : {4, 1, 3, 2}) health.record_contact(peer, 5.0);
   for (const SimTime now : {0.5, 5.5}) {
-    const std::vector<NodeId> alive = table.alive(now);
+    const std::vector<NodeId> alive = table.alive(now, &health);
     ASSERT_EQ(alive.size(), now < 1.0 ? 7u : 4u);
     Rng rng(6);
     Rng reference(6);
     for (int i = 0; i < 100; ++i) {
-      EXPECT_EQ(policy.choose(table, now, rng),
+      EXPECT_EQ(policy.choose(table, now, rng, &health),
                 alive[reference.index(alive.size())]);
     }
   }
@@ -110,8 +119,8 @@ TEST(DemandCyclePolicyTest, DynamicResortsMidCycle) {
   Rng rng(7);
   DemandTable table = table_with({{0 /*A*/, 2.0}, {2 /*C*/, 0.0}, {3 /*D*/, 13.0}});
   EXPECT_EQ(policy.choose(table, 0.0, rng), 3u);  // B-D
-  table.update(0, 0.0, 1.0);                      // A'
-  table.update(2, 9.0, 1.0);                      // C'
+  table.update(0, 0.0);                      // A'
+  table.update(2, 9.0);                      // C'
   EXPECT_EQ(policy.choose(table, 1.0, rng), 2u);  // B-C'
   EXPECT_EQ(policy.choose(table, 2.0, rng), 0u);  // B-A'
 }
@@ -123,8 +132,8 @@ TEST(DemandCyclePolicyTest, StaticIgnoresMidCycleChanges) {
   Rng rng(8);
   DemandTable table = table_with({{0 /*A*/, 2.0}, {2 /*C*/, 0.0}, {3 /*D*/, 13.0}});
   EXPECT_EQ(policy.choose(table, 0.0, rng), 3u);  // B-D
-  table.update(0, 0.0, 1.0);
-  table.update(2, 9.0, 1.0);
+  table.update(0, 0.0);
+  table.update(2, 9.0);
   EXPECT_EQ(policy.choose(table, 1.0, rng), 0u);  // still A (stale order)
   EXPECT_EQ(policy.choose(table, 2.0, rng), 2u);  // then C
 }
@@ -136,8 +145,8 @@ TEST(DemandCyclePolicyTest, StaticRefreezesAfterFullCycle) {
   EXPECT_EQ(policy.choose(table, 0.0, rng), 1u);
   EXPECT_EQ(policy.choose(table, 0.0, rng), 2u);
   // Demand flips; the next cycle must see the new order.
-  table.update(1, 0.0, 1.0);
-  table.update(2, 9.0, 1.0);
+  table.update(1, 0.0);
+  table.update(2, 9.0);
   EXPECT_EQ(policy.choose(table, 1.0, rng), 2u);
 }
 
@@ -160,22 +169,31 @@ TEST(DemandCyclePolicyTest, EmptyTableReturnsInvalid) {
 TEST(DemandCyclePolicyTest, AllDeadReturnsInvalid) {
   DemandCyclePolicy policy(true);
   Rng rng(12);
-  DemandTable table({1, 2}, /*liveness=*/0.5);
-  table.update(1, 5.0, 0.0);
-  table.update(2, 3.0, 0.0);
-  EXPECT_EQ(policy.choose(table, 10.0, rng), kInvalidNode);
+  const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
+  const PeerHealthTracker health = health_for({1, 2});
+  EXPECT_EQ(policy.choose(table, 10.0, rng, &health), kInvalidNode);
 }
 
 TEST(DemandCyclePolicyTest, DeadNeighbourSkippedMidCycle) {
   DemandCyclePolicy policy(true);
   Rng rng(13);
-  DemandTable table({1, 2}, /*liveness=*/1.0);
-  table.update(1, 5.0, 0.0);
-  table.update(2, 3.0, 0.0);
-  EXPECT_EQ(policy.choose(table, 0.0, rng), 1u);
-  // Peer 2 goes silent past the window; the cycle must not stall on it.
-  table.touch(1, 2.0);
-  EXPECT_EQ(policy.choose(table, 2.0, rng), 1u);
+  const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
+  PeerHealthTracker health = health_for({1, 2});
+  EXPECT_EQ(policy.choose(table, 0.0, rng, &health), 1u);
+  // Peer 2 stays silent until it is down; the cycle must not stall on it.
+  health.record_contact(1, 4.0);
+  EXPECT_EQ(policy.choose(table, 4.0, rng, &health), 1u);
+}
+
+TEST(DemandCyclePolicyTest, StaticSkipsPeerThatWentDownAfterFreeze) {
+  DemandCyclePolicy policy(/*resort_each_pick=*/false);
+  Rng rng(15);
+  const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
+  PeerHealthTracker health = health_for({1, 2});
+  EXPECT_EQ(policy.choose(table, 0.0, rng, &health), 1u);  // freezes [1, 2]
+  // Peer 2 goes down before its turn: the frozen order must not hand it out.
+  health.record_contact(1, 4.0);
+  EXPECT_EQ(policy.choose(table, 4.0, rng, &health), 1u);
 }
 
 TEST(DemandCyclePolicyTest, ResetForgetsCycleState) {
