@@ -190,12 +190,72 @@ TEST(DemandTableTest, PaperSection2Ordering) {
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{3, 4, 0, 2}));
 }
 
+HealthConfig one_unit_health() {
+  HealthConfig cfg;
+  cfg.enabled = true;
+  cfg.suspect_after = 0.5;
+  cfg.down_after = 1.0;
+  return cfg;
+}
+
+TEST(DemandTableTest, LivenessWindowExpiresSilentPeers) {
+  // The health tracker's down threshold is the liveness window: a peer
+  // silent for down_after leaves partner choice until it is heard again.
+  PeerHealthTracker health({1, 2}, one_unit_health(), 0.0);
+  DemandTable table({1, 2});
+  table.update(1, 5.0);
+  table.update(2, 3.0);
+  EXPECT_TRUE(DemandTable::eligible(1, 0.5, &health));
+  EXPECT_TRUE(DemandTable::eligible(1, 0.99, &health));
+  EXPECT_FALSE(DemandTable::eligible(1, 1.0, &health));  // boundary is down
+  health.record_contact(1, 1.5);
+  EXPECT_TRUE(DemandTable::eligible(1, 2.0, &health));
+  EXPECT_FALSE(DemandTable::eligible(2, 2.0, &health));
+  EXPECT_EQ(table.by_demand_desc(2.0, &health), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.alive(2.0, &health), (std::vector<NodeId>{1}));
+}
+
+TEST(DemandTableTest, DisabledLivenessKeepsEveryoneAlive) {
+  const PeerHealthTracker disabled({1}, HealthConfig{}, 0.0);
+  DemandTable table({1});
+  EXPECT_TRUE(DemandTable::eligible(1, 1e9, &disabled));
+  EXPECT_TRUE(DemandTable::eligible(1, 1e9, nullptr));
+  EXPECT_EQ(table.alive(1e9, &disabled), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.alive(1e9), (std::vector<NodeId>{1}));
+}
+
+TEST(DemandTableTest, TouchDoesNotChangeDemand) {
+  // Contact and decay live in the tracker: ranking a suspect peer by its
+  // decayed demand, and later hearing from it, leave the stored advert as is.
+  PeerHealthTracker health({1}, one_unit_health(), 0.0);
+  DemandTable table({1});
+  table.update(1, 7.0);
+  ASSERT_EQ(health.state(1, 0.7), PeerHealth::suspect);
+  std::vector<RankedPeer> ranked;
+  table.by_demand_desc(0.7, &health, ranked);
+  ASSERT_EQ(ranked.size(), 1u);
+  EXPECT_DOUBLE_EQ(ranked[0].demand, 7.0 * health.config().suspect_demand_factor);
+  EXPECT_EQ(table.demand_of(1), 7.0);
+  health.record_contact(1, 10.0);
+  EXPECT_EQ(table.demand_of(1), 7.0);
+  EXPECT_TRUE(DemandTable::eligible(1, 10.5, &health));
+}
+
 TEST(DemandTableTest, AddNeighbourIsIdempotent) {
   DemandTable table({1});
   table.add_neighbour(5);
   table.add_neighbour(5);
   EXPECT_EQ(table.entries().size(), 2u);
   EXPECT_TRUE(table.demand_of(5).has_value());
+}
+
+TEST(DemandTableTest, IsAliveUnknownPeer) {
+  // A peer the tracker knows but the table does not is never offered.
+  const PeerHealthTracker health({1, 9}, one_unit_health(), 0.0);
+  DemandTable table({1});
+  EXPECT_FALSE(table.demand_of(9).has_value());
+  EXPECT_EQ(table.alive(0.0, &health), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.by_demand_desc(0.0, &health), (std::vector<NodeId>{1}));
 }
 
 }  // namespace

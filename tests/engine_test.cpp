@@ -372,6 +372,18 @@ TEST(EngineTest, AdvertUpdatesNeighbourTable) {
   EXPECT_EQ(b.demand_table().demand_of(2), 17.0);
 }
 
+TEST(EngineTest, AnyMessageRefreshesLiveness) {
+  ProtocolConfig cfg = fast_config();
+  cfg.health.enabled = true;
+  ReplicaEngine b(1, {2}, cfg, 1);
+  b.prime_neighbour_demand(2, 5.0, 0.0);
+  EXPECT_TRUE(b.demand_table().alive(5.0, &b.peer_health()).empty());
+  b.handle(2, Message{SessionRequest{99}}, 5.0);
+  EXPECT_EQ(b.demand_table().alive(5.5, &b.peer_health()),
+            (std::vector<NodeId>{2}));
+  EXPECT_EQ(b.demand_table().demand_of(2), 5.0);
+}
+
 TEST(EngineTest, AdvertTimerReachesDownNeighbours) {
   // Adverts are the recovery channel: health never gates them, so a peer
   // the tracker derives `down` still hears our demand and can answer.
@@ -381,6 +393,18 @@ TEST(EngineTest, AdvertTimerReachesDownNeighbours) {
   ASSERT_EQ(b.peer_health().state(2, 100.0), PeerHealth::down);
   ASSERT_EQ(b.peer_health().state(3, 100.0), PeerHealth::down);
   EXPECT_EQ(b.on_advert_timer(100.0).size(), 2u);
+}
+
+TEST(EngineTest, AdvertTimerWithoutLivenessBroadcastsToAll) {
+  // Long silence with health disabled: both peers stay up, and each hears
+  // one advert in registration order.
+  ReplicaEngine b(1, {3, 2}, fast_config(), 1);
+  EXPECT_EQ(b.peer_health().state(2, 100.0), PeerHealth::up);
+  EXPECT_EQ(b.peer_health().state(3, 100.0), PeerHealth::up);
+  const auto out = b.on_advert_timer(100.0);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].to, 3u);
+  EXPECT_EQ(out[1].to, 2u);
 }
 
 TEST(EngineTest, OverlayNeighbourBecomesEligibleTarget) {
