@@ -292,6 +292,31 @@ void BM_SimulatorSessionShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSessionShape);
 
+void BM_SimulatorPopPushRandom(benchmark::State& state) {
+  // The case that punishes a branchy sift most: about 1150 pending events
+  // (a ba-1024 trial's count), each rescheduling itself a uniformly random
+  // time ahead, so every step pops the least key and pushes a random one
+  // and each least-of-four pick is a coin flip. Uniform keys are a
+  // synthetic worst case, not a measured model of a trial's traffic. One
+  // iteration is one event.
+  struct Churn {
+    Simulator sim;
+    Rng rng{29};
+
+    void fire() {
+      sim.schedule_in(rng.uniform(0.0, 1.0), [this] { fire(); });
+    }
+  };
+  Churn churn;
+  for (int i = 0; i < 1150; ++i) {
+    churn.sim.schedule_at(churn.rng.uniform(0.0, 1.0),
+                          [&churn] { churn.fire(); });
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(churn.sim.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorPopPushRandom);
+
 void BM_BarabasiAlbertGeneration(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) {

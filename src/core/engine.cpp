@@ -41,6 +41,7 @@ ReplicaEngine::ReplicaEngine(NodeId self, std::vector<NodeId> neighbours,
   for (const DemandEntry& entry : table_.entries()) {
     health_.add_peer(entry.peer, 0.0);
   }
+  seat_peer_knowledge();
 }
 
 void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
@@ -73,7 +74,20 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
   next_offer_ = 0;
   sessions_.clear();
   offers_.clear();
-  peer_knowledge_.clear();
+  seat_peer_knowledge();
+}
+
+void ReplicaEngine::seat_peer_knowledge() {
+  // Resizing keeps the surviving entries' summary buffers; re-keying and
+  // clearing them makes the table what a fresh engine would build.
+  const std::vector<DemandEntry>& neighbours = table_.entries();
+  peer_knowledge_.resize(neighbours.size());
+  for (std::size_t i = 0; i < neighbours.size(); ++i) {
+    peer_knowledge_[i].first = neighbours[i].peer;
+    peer_knowledge_[i].second.clear();
+  }
+  std::sort(peer_knowledge_.begin(), peer_knowledge_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void ReplicaEngine::prime_neighbour_demand(NodeId peer, double demand,
@@ -85,6 +99,8 @@ void ReplicaEngine::add_overlay_neighbour(NodeId peer, SimTime now) {
   table_.add_neighbour(peer);
   health_.add_peer(peer, now);
   policy_->reset();
+  // A former stranger keeps what was learnt about it.
+  knowledge_for(peer);
 }
 
 void ReplicaEngine::send(std::vector<Outbound>& out, NodeId to, Message msg) {
@@ -139,12 +155,12 @@ void ReplicaEngine::local_write(std::string key, std::string value, SimTime now,
 void ReplicaEngine::maybe_auto_truncate() {
   if (!config_.auto_truncate) return;
   // The frontier needs evidence about every neighbour; one we have never
-  // exchanged summaries with contributes bottom, making the meet empty.
+  // exchanged summaries with has an empty summary, making the meet empty.
   SummaryVector stable = log_.summary();
   for (const DemandEntry& entry : table_.entries()) {
-    const SummaryVector* known = find_knowledge(entry.peer);
-    if (known == nullptr) return;
-    stable = SummaryVector::meet(stable, *known);
+    const SummaryVector& known = neighbour_knowledge(entry.peer);
+    if (known.empty()) return;  // the meet would truncate nothing
+    stable = SummaryVector::meet(stable, known);
   }
   stats_.payloads_truncated += log_.truncate_below(stable);
 }
@@ -207,12 +223,11 @@ void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
 void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
                                     std::vector<Outbound>& out) {
   // The initiator's summary plus the updates it just sent describe
-  // everything it will hold once this exchange completes.
-  {
-    SummaryVector& known = knowledge_for(from);
-    known.merge(m.summary);
-    for (const Update& u : m.updates) known.add(u.id);
-  }
+  // everything it will hold once this exchange completes. Nothing below
+  // adds a peer entry, so `known` stays valid to the reply.
+  SummaryVector& known = knowledge_for(from);
+  known.merge(m.summary);
+  for (const Update& u : m.updates) known.add(u.id);
   SummaryVector their_view = std::move(m.summary);
   for (const Update& u : m.updates) their_view.add(u.id);
   const std::vector<OfferedId> gained =
@@ -223,10 +238,7 @@ void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
   if (!truncated.empty()) {
     reply = log_.all_retained();
   }
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : reply) known.add(u.id);
-  }
+  for (const Update& u : reply) known.add(u.id);
   send(out, from, SessionReply{m.session_id, std::move(reply)});
   ++stats_.sessions_responded;
   if (hooks_.on_session_complete) hooks_.on_session_complete(from, now);
@@ -496,10 +508,9 @@ void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
 
 bool ReplicaEngine::peer_known_to_have_all(
     NodeId peer, const std::vector<OfferedId>& gained) const {
-  const SummaryVector* known = find_knowledge(peer);
-  if (known == nullptr) return false;
+  const SummaryVector& known = neighbour_knowledge(peer);
   return std::all_of(gained.begin(), gained.end(), [&](const OfferedId& u) {
-    return known->contains(u.id);
+    return known.contains(u.id);
   });
 }
 
@@ -513,12 +524,12 @@ SummaryVector& ReplicaEngine::knowledge_for(NodeId peer) {
   return it->second;
 }
 
-const SummaryVector* ReplicaEngine::find_knowledge(NodeId peer) const {
+const SummaryVector& ReplicaEngine::neighbour_knowledge(NodeId peer) const {
   const auto it = std::lower_bound(
       peer_knowledge_.begin(), peer_knowledge_.end(), peer,
       [](const auto& entry, NodeId key) { return entry.first < key; });
-  if (it == peer_knowledge_.end() || it->first != peer) return nullptr;
-  return &it->second;
+  FASTCONS_ASSERT(it != peer_knowledge_.end() && it->first == peer);
+  return it->second;
 }
 
 }  // namespace fastcons

@@ -265,9 +265,16 @@ class ReplicaEngine {
   bool peer_known_to_have_all(NodeId peer,
                               const std::vector<OfferedId>& gained) const;
 
-  /// The knowledge summary for `peer`, created empty on first use.
+  /// The knowledge summary for `peer`, created empty on first use (every
+  /// neighbour's is seated up front; only strangers are created here).
   SummaryVector& knowledge_for(NodeId peer);
-  const SummaryVector* find_knowledge(NodeId peer) const;
+  /// The knowledge summary for neighbour `peer`, which every neighbour has
+  /// (seat_peer_knowledge, add_overlay_neighbour); empty until the first
+  /// exchange with it.
+  const SummaryVector& neighbour_knowledge(NodeId peer) const;
+  /// Gives peer_knowledge_ exactly one empty entry per neighbour, reusing
+  /// the entries (and their summary buffers) it already holds.
+  void seat_peer_knowledge();
 
   /// Builds an Outbound and records traffic counters.
   void send(std::vector<Outbound>& out, NodeId to, Message msg);
@@ -321,7 +328,10 @@ class ReplicaEngine {
   std::vector<std::pair<std::uint64_t, SessionState>> sessions_;  // by us
   std::vector<std::pair<std::uint64_t, OfferState>> offers_;      // by us
   // What each neighbour is known to have (via summaries, offers, data);
-  // sorted by peer id, at most degree-many entries.
+  // sorted by peer id. Every neighbour has an entry from construction or
+  // reset on, so a pooled engine's trials reuse the summary buffers; a
+  // stranger (a peer that is not, or not yet, a neighbour) gets one on
+  // first contact.
   std::vector<std::pair<NodeId, SummaryVector>> peer_knowledge_;
   // after_gain's ranking of push targets, kept so ranking never allocates.
   std::vector<RankedPeer> push_order_;

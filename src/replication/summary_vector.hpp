@@ -51,6 +51,11 @@ class SummaryVector {
   /// Records an update as seen. Idempotent.
   void add(UpdateId id);
 
+  /// True when no update is covered.
+  bool empty() const noexcept {
+    return watermarks_.empty() && extras_.empty();
+  }
+
   /// Forgets everything, retaining the buffers (pooled engines reset
   /// their summaries once per trial).
   void clear() noexcept {

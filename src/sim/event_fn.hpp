@@ -7,7 +7,7 @@
 // 16 bytes, so a delivery closure capturing a Message always heap-allocates.
 // EventFn accepts move-only captures and inlines anything up to
 // kInlineBytes (chosen to fit the largest closure SimNetwork schedules:
-// [this, from, to, msg] with a SessionPush payload); larger or
+// [this, from, to, latency, msg], 112 bytes on x86-64); larger or
 // potentially-throwing-on-move callables fall back to the heap.
 #ifndef FASTCONS_SIM_EVENT_FN_HPP
 #define FASTCONS_SIM_EVENT_FN_HPP
@@ -22,7 +22,8 @@ namespace fastcons {
 class EventFn {
  public:
   /// Inline capacity in bytes. Large enough for a simulated message
-  /// delivery ([this, from, to, Message]) without a heap allocation.
+  /// delivery ([this, from, to, latency, Message]) without a heap
+  /// allocation.
   static constexpr std::size_t kInlineBytes = 120;
 
   EventFn() noexcept = default;

@@ -78,23 +78,29 @@ void Simulator::heap_pop_min() noexcept {
   heap_[n] = kPadKey;
   if (n == 0) return;
   // Sift the hole down, then drop `moved` in. Padding keys stand in for
-  // missing children, so each level compares exactly four, and the
-  // tournament below compiles to conditional moves: which child is least
-  // is data-dependent and would mispredict as a branch.
+  // missing children, so each level compares exactly four. Which child is
+  // least is data-dependent, so the tournament selects pointers rather
+  // than branching on it: in the GCC 12 Release build `objdump -d` shows
+  // the pair picks as address arithmetic and the final pick as a `cmov`,
+  // leaving the loop's two exits as its only conditional jumps. (Index
+  // forms — `child[3] < child[2] ? 3 : 2`, or `2 + (child[3] < child[2])`
+  // — compile to a data-dependent `jb` there; how often that jump
+  // mispredicted was not measured.)
+  Key* const heap = heap_.data();
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    const Key* child = &heap_[first];
-    const std::size_t a = child[1] < child[0] ? 1 : 0;
-    const std::size_t b = child[3] < child[2] ? 3 : 2;
-    const std::size_t least = child[b] < child[a] ? b : a;
-    const Key best = child[least];
+    const Key* const child = heap + first;
+    const Key* const pair_a = child + (child[1] < child[0]);
+    const Key* const pair_b = child + 2 + (child[3] < child[2]);
+    const Key* const least = *pair_b < *pair_a ? pair_b : pair_a;
+    const Key best = *least;
     if (!(best < moved)) break;
-    heap_[i] = best;
-    i = first + least;
+    heap[i] = best;
+    i = static_cast<std::size_t>(least - heap);
   }
-  heap_[i] = moved;
+  heap[i] = moved;
 }
 
 void Simulator::drop_dead_top() noexcept {

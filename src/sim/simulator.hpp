@@ -8,14 +8,15 @@
 // flat 4-ary min-heap of 16-byte keys: one unsigned 128-bit integer holding
 // the event time's bits (non-negative doubles order like their bit
 // patterns) above `seq << 24 | slot`, so one integer comparison orders
-// (time, seq) and a sift picks the least of four children with conditional
-// moves instead of branches. The heap is padded with maximal keys, so every
-// node has four children to compare. Cancellation is O(1) and
-// allocation-free: it frees the slot, and the orphaned heap entry is
-// discarded when it reaches the top (its seq no longer matches the seq the
-// slot is pending for). Handles carry (slot, generation), so a handle to a
-// fired or cancelled event can never alias a later event that reuses the
-// slot.
+// (time, seq). The heap is padded with maximal keys, so every node has four
+// children to compare, and the sift picks the least of them by selecting
+// pointers, which GCC compiles without a data-dependent branch (see
+// heap_pop_min; docs/performance.md shows how to check the binary).
+// Cancellation is O(1) and allocation-free: it frees the slot, and the
+// orphaned heap entry is discarded when it reaches the top (its seq no
+// longer matches the seq the slot is pending for). Handles carry (slot,
+// generation), so a handle to a fired or cancelled event can never alias a
+// later event that reuses the slot.
 #ifndef FASTCONS_SIM_SIMULATOR_HPP
 #define FASTCONS_SIM_SIMULATOR_HPP
 

@@ -343,7 +343,8 @@ double SimNetwork::link_latency(NodeId a, NodeId b) const {
   throw ConfigError("message between non-adjacent nodes");
 }
 
-void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs) {
+void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs,
+                          NodeId back_to, double back_latency) {
   for (Outbound& out : outs) {
     // Decide any drop before touching the payload: a lost message must not
     // pay for a capture, and nothing below copies outside the duplicate
@@ -361,31 +362,35 @@ void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs) {
       }
       const FaultPlan::LinkFate fate = faults_.link_fate();
       if (fate.lost) continue;
-      const double latency = link_latency(from, out.to);
+      const double latency =
+          out.to == back_to ? back_latency : link_latency(from, out.to);
       if (fate.duplicated) {
         // The copy pays for the one Message copy in the layer; it only
         // happens on the duplicate path.
         sim_.schedule_in(latency + fate.dup_extra_delay,
-                         [this, from, to = out.to, msg = out.msg]() mutable {
-                           deliver(from, to, std::move(msg));
+                         [this, from, to = out.to, latency,
+                          msg = out.msg]() mutable {
+                           deliver(from, to, latency, std::move(msg));
                          });
       }
       sim_.schedule_in(latency + fate.extra_delay,
-                       [this, from, to = out.to,
+                       [this, from, to = out.to, latency,
                         msg = std::move(out.msg)]() mutable {
-                         deliver(from, to, std::move(msg));
+                         deliver(from, to, latency, std::move(msg));
                        });
       continue;
     }
-    const double latency = link_latency(from, out.to);
-    sim_.schedule_in(latency, [this, from, to = out.to,
+    const double latency =
+        out.to == back_to ? back_latency : link_latency(from, out.to);
+    sim_.schedule_in(latency, [this, from, to = out.to, latency,
                                msg = std::move(out.msg)]() mutable {
-      deliver(from, to, std::move(msg));
+      deliver(from, to, latency, std::move(msg));
     });
   }
 }
 
-void SimNetwork::deliver(NodeId from, NodeId to, Message&& msg) {
+void SimNetwork::deliver(NodeId from, NodeId to, double latency,
+                         Message&& msg) {
   if (faults_.node_down(to)) {
     // The receiver is crashed: the message is lost at its doorstep. Checked
     // at delivery (not send) time so a message racing a crash behaves like
@@ -396,7 +401,7 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message&& msg) {
   refresh_own_demand(to);  // gradient decisions use current demand
   scratch_out_.clear();
   engines_[to].handle(from, std::move(msg), sim_.now(), scratch_out_);
-  dispatch(to, scratch_out_);
+  dispatch(to, scratch_out_, from, latency);
 }
 
 void SimNetwork::run_until(SimTime t) { sim_.run_until(t); }

@@ -178,8 +178,17 @@ class SimNetwork {
   /// Schedules deliveries for `outs`, moving each message into its event;
   /// the vector's elements are consumed but the vector itself is the
   /// caller's (the hot paths pass scratch_out_ and reuse its capacity).
-  void dispatch(NodeId from, std::vector<Outbound>& outs);
-  void deliver(NodeId from, NodeId to, Message&& msg);
+  /// A message addressed to `back_to` travels `back_latency` without a
+  /// link lookup: deliver() passes the sender of the message being handled
+  /// and the latency it arrived with, and every link's latency is the same
+  /// in both directions (Graph writes both; overlay_latency_ is keyed by
+  /// the unordered pair), so three of a session's four messages skip the
+  /// adjacency scan.
+  void dispatch(NodeId from, std::vector<Outbound>& outs,
+                NodeId back_to = kInvalidNode, double back_latency = 0.0);
+  /// `latency` is the base latency of the link `msg` travelled (without
+  /// any fault delay), which replies to `from` reuse.
+  void deliver(NodeId from, NodeId to, double latency, Message&& msg);
   void refresh_own_demand(NodeId n);
   /// Fills links_/link_begin_ from the graph (see links_).
   void build_link_index();
@@ -196,7 +205,8 @@ class SimNetwork {
 
   // Every node's graph edges in one array: node n's are
   // links_[link_begin_[n], link_begin_[n + 1]), in adjacency order.
-  // link_latency runs once per message; scanning this contiguous copy
+  // link_latency runs once per message that starts an exchange (replies
+  // reuse the inbound latency, see dispatch); scanning this contiguous copy
   // beats chasing the graph's per-node vectors, and on ba-1024's degree
   // mix a linear scan beats a binary search over a peer-sorted copy. The
   // graph is immutable, so the index holds for the whole trial.

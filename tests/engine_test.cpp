@@ -318,6 +318,30 @@ TEST(EngineTest, RepeatedGainDoesNotReofferToKnowingPeer) {
   EXPECT_EQ(offer.offered[0].id, (UpdateId{1, 2}));
 }
 
+TEST(EngineTest, ResetForgetsPeerKnowledge) {
+  // A pooled engine keeps its peer-knowledge buffers across reset(), but
+  // not their contents: after the reset, a peer once known to hold an
+  // update is offered it again.
+  ReplicaEngine b(1, {3}, fast_config(), 1);
+  b.set_own_demand(6.0);
+  b.prime_neighbour_demand(3, 8.0, 0.0);
+  const auto first = b.local_write("k", "v", 0.0);
+  ASSERT_EQ(first.size(), 1u);
+  const auto offer_id = std::get<FastOffer>(first[0].msg).offer_id;
+  b.handle(3, Message{FastAck{offer_id, false, {}}}, 0.0);  // D has (1, 1)
+
+  b.reset(1, {3}, fast_config(), 1);
+  b.set_own_demand(6.0);
+  b.prime_neighbour_demand(3, 8.0, 0.0);
+  // The reborn engine numbers its first write (1, 1) again.
+  const auto again = b.local_write("k", "v", 0.0);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].to, 3u);
+  const auto& offer = std::get<FastOffer>(again[0].msg);
+  ASSERT_EQ(offer.offered.size(), 1u);
+  EXPECT_EQ(offer.offered[0].id, (UpdateId{1, 1}));
+}
+
 TEST(EngineTest, FanoutTwoOffersToTwoValleys) {
   ProtocolConfig cfg = fast_config();
   cfg.fast_fanout = 2;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "topology/generators.hpp"
@@ -246,6 +247,50 @@ TEST(SimNetworkTest, OverlayLinkLatencyIsHonoured) {
   const auto at = net.first_delivery(2, id);
   ASSERT_TRUE(at.has_value());
   EXPECT_GE(*at, 0.5 + 3 * 0.2 - 1e-9);
+}
+
+/// Steps `net` from its first event (a session timer) through the four
+/// deliveries of that session: request, summary, push and reply must each
+/// take one trip over the link.
+void expect_session_hops(SimNetwork& net, double latency) {
+  std::vector<SimTime> at;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(net.sim().step());
+    at.push_back(net.sim().now());
+  }
+  for (std::size_t hop = 1; hop < at.size(); ++hop) {
+    EXPECT_DOUBLE_EQ(at[hop], at[hop - 1] + latency) << "hop " << hop;
+  }
+  const EngineStats stats = net.total_stats();
+  EXPECT_EQ(stats.sessions_initiated, 1u);
+  EXPECT_EQ(stats.sessions_responded, 1u);
+  EXPECT_EQ(stats.sessions_completed, 1u);
+}
+
+TEST(SimNetworkTest, ReplyTravelsInboundLinkLatency) {
+  // Replies reuse the latency their request arrived with instead of looking
+  // the link up again; each of a session's four messages must still take
+  // exactly one link latency. Periodic timing gives each node one session
+  // per period at a seeded phase; on this seed the second node's first
+  // timer fires after the first node's session has ended, so the first
+  // five events are that session (the session counts below check it).
+  SimConfig cfg;
+  cfg.protocol = ProtocolConfig::weak();
+  cfg.protocol.advert_period = 0.0;
+  cfg.timing = SimConfig::Timing::periodic;
+  cfg.seed = 31;
+  constexpr double kLatency = 0.003;
+
+  Graph line(2);
+  line.add_edge(0, 1, kLatency);
+  SimNetwork net(std::move(line), static_demand({1, 2}), cfg);
+  expect_session_hops(net, kLatency);
+
+  // The same over an island-overlay link, whose latency SimNetwork keeps
+  // outside the graph.
+  SimNetwork overlay(Graph(2), static_demand({1, 2}), cfg);
+  overlay.add_overlay_link(0, 1, kLatency);
+  expect_session_hops(overlay, kLatency);
 }
 
 TEST(SimNetworkTest, PeriodicTimingAlsoConverges) {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "harness/scenarios.hpp"
 #include "topology/generators.hpp"
 #include "topology/graph.hpp"
 #include "topology/metrics.hpp"
@@ -243,6 +245,52 @@ TEST(MetricsTest, DegreeRankFitOnRegularGraphIsFlat) {
   const Graph g = make_ring(50, kLat, rng);
   const PowerLawFit fit = degree_rank_fit(g);
   EXPECT_NEAR(fit.slope, 0.0, 1e-9);  // all degrees equal -> flat line
+}
+
+/// Latency of the edge a -> b as node a's adjacency records it.
+double recorded_latency(const Graph& g, NodeId a, NodeId b) {
+  for (const Edge& e : g.neighbours(a)) {
+    if (e.peer == b) return e.latency;
+  }
+  ADD_FAILURE() << "edge " << a << "->" << b << " missing";
+  return -1.0;
+}
+
+void expect_symmetric_latencies(const Graph& g, const std::string& topo) {
+  for (NodeId a = 0; a < g.size(); ++a) {
+    for (const Edge& e : g.neighbours(a)) {
+      EXPECT_EQ(recorded_latency(g, e.peer, a), e.latency)
+          << topo << ": edge " << a << "-" << e.peer;
+    }
+  }
+}
+
+TEST(TopologyTest, EdgeLatencyIsSymmetric) {
+  // The simulator sends a reply back over the latency its request arrived
+  // with, which is exact only while every link has one latency for both
+  // directions: every generator the scenarios build, and set_latency, must
+  // keep that.
+  for (const std::string topo : {"line", "ring", "grid", "tree", "star",
+                                 "complete", "er", "waxman", "ba",
+                                 "dumbbell"}) {
+    harness::SweepPoint point;
+    point.tags = {{"topo", topo}};
+    point.params = {{"n", 40}};
+    Rng rng(17);
+    Graph g = harness::topology_from_point(point)(rng);
+    ASSERT_GT(g.edge_count(), 0u) << topo;
+    expect_symmetric_latencies(g, topo);
+    // Rewrite every node's first link from either end in turn.
+    for (NodeId a = 0; a < g.size(); ++a) {
+      const Edge first = g.neighbours(a).front();
+      if (a % 2 == 0) {
+        g.set_latency(a, first.peer, 0.5 + 0.001 * a);
+      } else {
+        g.set_latency(first.peer, a, 0.5 + 0.001 * a);
+      }
+    }
+    expect_symmetric_latencies(g, topo + " after set_latency");
+  }
 }
 
 class TopologyFamilySweep
