@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "demand/demand_model.hpp"
 #include "sim_runtime/sim_network.hpp"
 #include "stats/online_stats.hpp"
@@ -32,11 +33,7 @@ int main() {
               "weighted delay (sess.)", "mean delay (sessions)",
               "consistent?");
   for (const char* name : {"weak", "demand-order", "fast"}) {
-    ProtocolConfig protocol;
-    const std::string algo(name);
-    if (algo == "weak") protocol = ProtocolConfig::weak();
-    else if (algo == "demand-order") protocol = ProtocolConfig::demand_order_only();
-    else protocol = ProtocolConfig::fast();
+    const ProtocolConfig protocol = *protocol_preset(name);
 
     Rng rng(99);
     Graph topology = make_barabasi_albert(n, 2, {0.01, 0.05}, rng);

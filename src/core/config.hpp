@@ -4,6 +4,7 @@
 #define FASTCONS_CORE_CONFIG_HPP
 
 #include <cstddef>
+#include <optional>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -110,6 +111,10 @@ struct ProtocolConfig {
   /// The paper's full fast-consistency algorithm.
   static ProtocolConfig fast() { return ProtocolConfig{}; }
 };
+
+/// The named preset for an algorithm name: "weak", "demand-order" or
+/// "fast"; nullopt for any other name (callers word their own error).
+std::optional<ProtocolConfig> protocol_preset(std::string_view name);
 
 std::string_view selection_name(PartnerSelection s) noexcept;
 

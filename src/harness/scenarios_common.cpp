@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <optional>
 
 #include "common/construction_cost.hpp"
 #include "common/error.hpp"
@@ -14,18 +15,10 @@ ProtocolConfig algorithm_config(const std::string& algo) {
   // Static-demand experiments: tables are primed at t=0, so adverts are
   // pure overhead; disabling them matches the paper's static model and
   // keeps the byte counters focused on the replication traffic.
-  ProtocolConfig cfg;
-  if (algo == "weak") {
-    cfg = ProtocolConfig::weak();
-  } else if (algo == "demand-order") {
-    cfg = ProtocolConfig::demand_order_only();
-  } else if (algo == "fast") {
-    cfg = ProtocolConfig::fast();
-  } else {
-    throw ConfigError("unknown algorithm tag '" + algo + "'");
-  }
-  cfg.advert_period = 0.0;
-  return cfg;
+  std::optional<ProtocolConfig> cfg = protocol_preset(algo);
+  if (!cfg) throw ConfigError("unknown algorithm tag '" + algo + "'");
+  cfg->advert_period = 0.0;
+  return *cfg;
 }
 
 const std::vector<std::string>& three_algorithm_names() {

@@ -9,6 +9,7 @@
 // live_registry(), outside the digest-pinned builtin registry, and its JSON
 // is written without entering DIGESTS.txt.
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
@@ -18,24 +19,20 @@
 namespace fastcons::harness {
 namespace {
 
-/// Live runs keep adverts on: there is no prime-at-t0 step over real
-/// sockets, so demand tables fill the way a deployment's would — from the
-/// periodic DemandAdvert broadcasts.
-ProtocolConfig live_protocol(const std::string& algo) {
-  if (algo == "weak") return ProtocolConfig::weak();
-  if (algo == "demand-order") return ProtocolConfig::demand_order_only();
-  if (algo == "fast") return ProtocolConfig::fast();
-  throw ConfigError("unknown algorithm tag '" + algo + "'");
-}
-
 TrialResult live_trial(const SweepPoint& point, std::uint64_t seed,
                        TrialContext& /*ctx*/) {
   using Clock = std::chrono::steady_clock;
   Rng rng(seed);
   const Graph topology = topology_from_point(point)(rng);
 
+  // Live runs keep adverts on (the preset, not algorithm_config): there is
+  // no prime-at-t0 step over real sockets, so demand tables fill the way a
+  // deployment's would — from the periodic DemandAdvert broadcasts.
+  const std::string algo = tag_or(point.tags, "algo", "fast");
+  const std::optional<ProtocolConfig> protocol = protocol_preset(algo);
+  if (!protocol) throw ConfigError("unknown algorithm tag '" + algo + "'");
   ClusterConfig cfg;
-  cfg.protocol = live_protocol(tag_or(point.tags, "algo", "fast"));
+  cfg.protocol = *protocol;
   cfg.seconds_per_unit = param_or(point.params, "seconds_per_unit", 0.02);
   cfg.seed = rng.next_u64();
   cfg.demands.reserve(topology.size());

@@ -56,7 +56,7 @@ struct HealthConfig {
 };
 
 /// Snapshot of one peer's derived health, for introspection (NetStats
-/// mirrors these fields so operators and the soak harness read the same
+/// reports these fields so operators and the soak harness read the same
 /// values the engine acts on).
 struct PeerHealthView {
   NodeId peer = kInvalidNode;

@@ -129,8 +129,8 @@ bool LocalCluster::converged(std::uint64_t min_updates) const {
   return true;
 }
 
-bool LocalCluster::wait_for_convergence(double timeout_seconds,
-                                        std::uint64_t min_updates) {
+bool LocalCluster::poll_until(double timeout_seconds,
+                              const std::function<bool()>& done) const {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   // A twentieth of a session period, clamped to sane wall-clock bounds:
@@ -140,10 +140,15 @@ bool LocalCluster::wait_for_convergence(double timeout_seconds,
       std::clamp(seconds_per_unit_ / 20.0, 0.0005, 0.05);
   const auto poll_interval = std::chrono::duration<double>(poll_seconds);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (converged(min_updates)) return true;
+    if (done()) return true;
     std::this_thread::sleep_for(poll_interval);
   }
-  return converged(min_updates);
+  return done();
+}
+
+bool LocalCluster::wait_for_convergence(double timeout_seconds,
+                                        std::uint64_t min_updates) {
+  return poll_until(timeout_seconds, [&] { return converged(min_updates); });
 }
 
 bool LocalCluster::all_peers_up() const {
@@ -159,16 +164,7 @@ bool LocalCluster::all_peers_up() const {
 }
 
 bool LocalCluster::wait_for_peer_health(double timeout_seconds) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  const double poll_seconds =
-      std::clamp(seconds_per_unit_ / 20.0, 0.0005, 0.05);
-  const auto poll_interval = std::chrono::duration<double>(poll_seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (all_peers_up()) return true;
-    std::this_thread::sleep_for(poll_interval);
-  }
-  return all_peers_up();
+  return poll_until(timeout_seconds, [&] { return all_peers_up(); });
 }
 
 LoadReport LocalCluster::run_load(NodeId writer, double writes_per_sec,

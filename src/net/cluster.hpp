@@ -4,6 +4,7 @@
 #ifndef FASTCONS_NET_CLUSTER_HPP
 #define FASTCONS_NET_CLUSTER_HPP
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,6 +145,11 @@ class LocalCluster {
                       double drain_timeout_seconds = 30.0);
 
  private:
+  /// Polls `done` at the scaled interval until it holds or the timeout
+  /// passes; returns its last answer.
+  bool poll_until(double timeout_seconds,
+                  const std::function<bool()>& done) const;
+
   std::vector<std::unique_ptr<ReplicaServer>> servers_;
   /// Per-node construction inputs, kept so restart(n) can rebuild a killed
   /// server exactly: the ServerConfig (listen_port pinned to the port the

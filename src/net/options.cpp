@@ -81,15 +81,11 @@ std::optional<std::string> parse_daemon_args(
     } else if (arg == "--algorithm") {
       const auto v = value();
       if (!v) return missing();
-      if (*v == "fast") {
-        out.server.protocol = ProtocolConfig::fast();
-      } else if (*v == "demand-order") {
-        out.server.protocol = ProtocolConfig::demand_order_only();
-      } else if (*v == "weak") {
-        out.server.protocol = ProtocolConfig::weak();
-      } else {
+      const auto protocol = protocol_preset(*v);
+      if (!protocol) {
         return "bad --algorithm (want fast|demand-order|weak): " + *v;
       }
+      out.server.protocol = *protocol;
     } else if (arg == "--period-ms") {
       const auto v = value();
       if (!v) return missing();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
@@ -14,6 +15,11 @@ namespace {
 /// Salt separating the reconnect-jitter stream from the timer stream (both
 /// derive from ServerConfig::seed).
 constexpr std::uint64_t kReconnectJitterSalt = 0x7E77BACC0FF5EEDull;
+
+/// Per-peer backlog cap: frames beyond this many buffered bytes (socket
+/// outbox plus pending queue) are shed or dropped, and counted in NetStats,
+/// instead of growing the buffer while a peer is unreachable or stalled.
+constexpr std::size_t kMaxPeerOutboxBytes = 4 * 1024 * 1024;
 
 /// Payload-bearing frames a later anti-entropy session resends anyway —
 /// safe to shed on outbox overflow. Control traffic (summaries, requests,
@@ -38,6 +44,7 @@ ReplicaServer::ReplicaServer(ServerConfig config)
       config_.reconnect_backoff_max < config_.reconnect_backoff_min) {
     throw ConfigError("reconnect backoff bounds must satisfy 0 < min <= max");
   }
+  set_peers(config_.peers);  // builds peer_links_
 }
 
 ReplicaServer::~ReplicaServer() { stop(); }
@@ -45,25 +52,29 @@ ReplicaServer::~ReplicaServer() { stop(); }
 void ReplicaServer::set_peers(std::vector<PeerAddress> peers) {
   FASTCONS_EXPECTS(!running_.load());
   config_.peers = std::move(peers);
+  peer_links_.clear();
+  for (const PeerAddress& peer : config_.peers) {
+    peer_links_[peer.id].address = peer;
+  }
 }
 
 void ReplicaServer::start() {
   FASTCONS_EXPECTS(!running_.load());
   std::vector<NodeId> neighbour_ids;
-  {
-    const MutexLock net_lock(net_mutex_);
-    for (const PeerAddress& peer : config_.peers) {
-      neighbour_ids.push_back(peer.id);
-      PeerLink link;
-      link.address = peer;
-      link.backoff_seconds = config_.reconnect_backoff_min;
-      link.next_attempt = std::chrono::steady_clock::now();
-      peer_links_[peer.id] = std::move(link);
-      PeerNetStats stats;
-      stats.peer = peer.id;
-      stats.current_backoff_seconds = config_.reconnect_backoff_min;
-      peer_stats_[peer.id] = stats;
-    }
+  for (const PeerAddress& peer : config_.peers) {
+    neighbour_ids.push_back(peer.id);
+  }
+  // No loop thread runs, so this thread is the links' one writer here; a
+  // concurrent net_stats() reads only the atomics being reset.
+  const auto now = std::chrono::steady_clock::now();
+  for (auto& [id, link] : peer_links_) {
+    link.connection.close();
+    link.pending.clear();
+    link.pending_bytes = 0;
+    link.staged = false;
+    link.next_attempt = now;
+    link.stats = LinkStats{};
+    link.stats.backoff_seconds.set(config_.reconnect_backoff_min);
   }
   if (config_.durability.enabled() && store_ == nullptr) {
     store_ = std::make_unique<DurableStore>(config_.durability);
@@ -230,9 +241,28 @@ std::uint64_t ReplicaServer::kv_digest() const {
 }
 
 NetStats ReplicaServer::net_stats() const {
-  const MutexLock lock(net_mutex_);
-  NetStats out = inbound_stats_;
-  for (const auto& [id, peer] : peer_stats_) {
+  NetStats out;
+  out.frames_received = inbound_totals_.frames_received.get();
+  out.bytes_received = inbound_totals_.bytes_received.get();
+  out.inbound_accepted = inbound_totals_.inbound_accepted.get();
+  out.inbound_closed = inbound_totals_.inbound_closed.get();
+  out.codec_errors = inbound_totals_.codec_errors.get();
+  out.peers.reserve(peer_links_.size());
+  for (const auto& [id, link] : peer_links_) {
+    const LinkStats& s = link.stats;
+    PeerNetStats& peer = out.peers.emplace_back();
+    peer.peer = id;
+    peer.connected = s.connected.get();
+    peer.connecting = s.connecting.get();
+    peer.frames_sent = s.frames_sent.get();
+    peer.bytes_sent = s.bytes_sent.get();
+    peer.frames_dropped = s.frames_dropped.get();
+    peer.bytes_abandoned = s.bytes_abandoned.get();
+    peer.connect_attempts = s.connect_attempts.get();
+    peer.connect_failures = s.connect_failures.get();
+    peer.disconnects = s.disconnects.get();
+    peer.current_backoff_seconds = s.backoff_seconds.get();
+    peer.frames_shed = s.frames_shed.get();
     out.frames_sent += peer.frames_sent;
     out.bytes_sent += peer.bytes_sent;
     out.frames_dropped += peer.frames_dropped;
@@ -240,15 +270,18 @@ NetStats ReplicaServer::net_stats() const {
     out.connect_attempts += peer.connect_attempts;
     out.connect_failures += peer.connect_failures;
     out.disconnects += peer.disconnects;
-    out.peers.push_back(peer);
+  }
+  if (!config_.protocol.health.enabled) return out;
+  const MutexLock lock(engine_mutex_);
+  if (engine_ == nullptr) return out;
+  const double now = now_units();
+  for (PeerNetStats& peer : out.peers) {
+    const PeerHealthView view = engine_->peer_health().view(peer.peer, now);
+    peer.health = view.state;
+    peer.health_last_heard_units = view.last_heard;
+    peer.health_suspect_since_units = view.suspect_since;
   }
   return out;
-}
-
-PeerNetStats& ReplicaServer::peer_stats_entry(NodeId peer) {
-  const auto it = peer_stats_.find(peer);
-  FASTCONS_ASSERT(it != peer_stats_.end());
-  return it->second;
 }
 
 double ReplicaServer::run_engine_turn(std::vector<Outbound>& outs) {
@@ -336,7 +369,7 @@ void ReplicaServer::schedule_reconnect(PeerLink& link) {
   // heals; the seeded jitter decorrelates the schedules while keeping each
   // server reproducible.
   const double lo = config_.reconnect_backoff_min;
-  const double hi = std::max(lo, link.backoff_seconds * 3.0);
+  const double hi = std::max(lo, link.stats.backoff_seconds.get() * 3.0);
   double next = std::min(reconnect_rng_.uniform(lo, hi),
                          config_.reconnect_backoff_max);
   // Graceful degradation: a peer the health layer already degraded gets
@@ -346,7 +379,7 @@ void ReplicaServer::schedule_reconnect(PeerLink& link) {
       PeerHealth::up) {
     next = config_.reconnect_backoff_max;
   }
-  link.backoff_seconds = next;
+  link.stats.backoff_seconds.set(next);
   link.next_attempt =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -354,43 +387,32 @@ void ReplicaServer::schedule_reconnect(PeerLink& link) {
 }
 
 void ReplicaServer::register_connect_failure(PeerLink& link) {
-  link.connecting = false;
+  link.stats.connecting.set(false);
+  link.stats.connected.set(false);
+  link.stats.connect_failures.add(1);
   // The failure feeds the health layer before the backoff is drawn, so the
   // attempt that crosses failure_threshold already reconnects at the cap.
   peer_health_state(link.address.id, /*note_failure=*/true);
   schedule_reconnect(link);
-  const MutexLock lock(net_mutex_);
-  PeerNetStats& stats = peer_stats_entry(link.address.id);
-  stats.connecting = false;
-  stats.connected = false;
-  ++stats.connect_failures;
-  stats.current_backoff_seconds = link.backoff_seconds;
 }
 
 void ReplicaServer::drop_connection(PeerLink& link, bool was_established) {
   const std::size_t abandoned =
       link.connection.pending_output_bytes() + link.pending_bytes;
   link.connection.close();
-  link.connecting = false;
   link.pending.clear();
   link.pending_bytes = 0;
+  link.stats.connecting.set(false);
+  link.stats.connected.set(false);
+  link.stats.bytes_abandoned.add(abandoned);
+  if (was_established) link.stats.disconnects.add(1);
   schedule_reconnect(link);
-  const MutexLock lock(net_mutex_);
-  PeerNetStats& stats = peer_stats_entry(link.address.id);
-  stats.connecting = false;
-  stats.connected = false;
-  stats.bytes_abandoned += abandoned;
-  if (was_established) ++stats.disconnects;
-  stats.current_backoff_seconds = link.backoff_seconds;
 }
 
 bool ReplicaServer::ensure_connection(PeerLink& link) {
   if (link.connection.valid()) return true;
   if (std::chrono::steady_clock::now() < link.next_attempt) return false;
-  {
-    const MutexLock lock(net_mutex_);
-    ++peer_stats_entry(link.address.id).connect_attempts;
-  }
+  link.stats.connect_attempts.add(1);
   try {
     link.connection =
         TcpConnection::connect(link.address.host, link.address.port);
@@ -400,9 +422,7 @@ bool ReplicaServer::ensure_connection(PeerLink& link) {
     register_connect_failure(link);
     return false;
   }
-  link.connecting = true;
-  const MutexLock lock(net_mutex_);
-  peer_stats_entry(link.address.id).connecting = true;
+  link.stats.connecting.set(true);
   return true;
 }
 
@@ -415,15 +435,9 @@ void ReplicaServer::finish_connect(PeerLink& link) {
     register_connect_failure(link);
     return;
   }
-  link.connecting = false;
-  link.backoff_seconds = config_.reconnect_backoff_min;
-  {
-    const MutexLock lock(net_mutex_);
-    PeerNetStats& stats = peer_stats_entry(link.address.id);
-    stats.connecting = false;
-    stats.connected = true;
-    stats.current_backoff_seconds = link.backoff_seconds;
-  }
+  link.stats.connecting.set(false);
+  link.stats.connected.set(true);
+  link.stats.backoff_seconds.set(config_.reconnect_backoff_min);
   pump_outbox(link);
 }
 
@@ -434,7 +448,7 @@ void ReplicaServer::pump_outbox(PeerLink& link) {
   // waits frame-granular in link.pending where overflow can still evict
   // superseded pushes.
   const std::size_t watermark = std::max<std::size_t>(
-      64 * 1024, config_.max_peer_outbox_bytes / 4);
+      64 * 1024, kMaxPeerOutboxBytes / 4);
   while (!link.pending.empty() &&
          link.connection.pending_output_bytes() < watermark) {
     link.connection.queue(link.pending.front().bytes);
@@ -444,7 +458,9 @@ void ReplicaServer::pump_outbox(PeerLink& link) {
   // Handshake still in flight: the bytes wait until writability resolves
   // it. Otherwise everything staged leaves in one flush, one send(2) unless
   // the kernel takes only part of it.
-  if (link.connecting || !link.connection.has_pending_output()) return;
+  if (link.stats.connecting.get() || !link.connection.has_pending_output()) {
+    return;
+  }
   if (link.connection.flush() == IoStatus::error) {
     drop_connection(link, /*was_established=*/true);
   }
@@ -456,43 +472,42 @@ void ReplicaServer::enqueue_frame(PeerLink& link,
   if (config_.outbound_fault && config_.outbound_fault(link.address.id)) {
     // Injected loss: drop before the link ever sees the frame, so the shim
     // exercises the same recovery path as a genuinely lossy network.
-    ++link.tally.frames_dropped;
+    link.stats.frames_dropped.add(1);
     return;
   }
   if (!ensure_connection(link)) {
     // Weak consistency tolerates message loss: the next session retries.
-    ++link.tally.frames_dropped;
+    link.stats.frames_dropped.add(1);
     return;
   }
   std::size_t buffered =
       link.connection.pending_output_bytes() + link.pending_bytes;
-  std::uint64_t shed_frames = 0;
-  if (buffered + frame.size() > config_.max_peer_outbox_bytes) {
+  if (buffered + frame.size() > kMaxPeerOutboxBytes) {
     // Overflow: evict superseded pushes, oldest first — their payloads are
     // re-sent by the next session anyway, while a summary or advert dropped
     // here would stall convergence for a whole session period.
     for (auto qit = link.pending.begin();
          qit != link.pending.end() &&
-         buffered + frame.size() > config_.max_peer_outbox_bytes;) {
+         buffered + frame.size() > kMaxPeerOutboxBytes;) {
       if (!qit->sheddable) {
         ++qit;
         continue;
       }
       buffered -= qit->bytes.size();
       link.pending_bytes -= qit->bytes.size();
-      ++shed_frames;
+      link.stats.frames_shed.add(1);
       qit = link.pending.erase(qit);
     }
   }
-  link.tally.frames_shed += shed_frames;
-  if (buffered + frame.size() > config_.max_peer_outbox_bytes) {
+  if (buffered + frame.size() > kMaxPeerOutboxBytes) {
     // Still no room: the backlog is all control traffic (or the new frame
     // is enormous); drop the newcomer as before.
-    ++link.tally.frames_dropped;
+    link.stats.frames_dropped.add(1);
     return;
   }
-  ++link.tally.frames_sent;
-  link.tally.bytes_sent += frame.size();
+  link.stats.frames_sent.add(1);
+  link.stats.bytes_sent.add(frame.size());
+  link.staged = true;
   link.pending_bytes += frame.size();
   link.pending.push_back(PeerLink::QueuedFrame{std::move(frame), sheddable});
 }
@@ -508,22 +523,8 @@ void ReplicaServer::transmit(std::vector<Outbound>& outs) {
     enqueue_frame(it->second, encode_frame(config_.self, out.msg), sheddable);
   }
   outs.clear();
-  {
-    const MutexLock lock(net_mutex_);
-    for (auto& [id, link] : peer_links_) {
-      const PeerLink::Tally& t = link.tally;
-      if (t.frames_sent == 0 && t.frames_dropped == 0) continue;
-      PeerNetStats& stats = peer_stats_entry(id);
-      stats.frames_sent += t.frames_sent;
-      stats.bytes_sent += t.bytes_sent;
-      stats.frames_dropped += t.frames_dropped;
-      stats.frames_shed += t.frames_shed;
-    }
-  }
   for (auto& [id, link] : peer_links_) {
-    const bool staged = link.tally.frames_sent != 0;
-    link.tally = PeerLink::Tally{};
-    if (staged) pump_outbox(link);
+    if (std::exchange(link.staged, false)) pump_outbox(link);
   }
 }
 
@@ -541,7 +542,7 @@ void ReplicaServer::poll_once(int timeout_ms) {
   const std::size_t peer_base = fds.size();
   for (auto& [id, link] : peer_links_) {
     if (link.connection.valid() &&
-        (link.connecting || link.connection.has_pending_output() ||
+        (link.stats.connecting.get() || link.connection.has_pending_output() ||
          !link.pending.empty())) {
       fds.push_back(pollfd{link.connection.fd(), POLLOUT, 0});
       peer_order.push_back(&link);
@@ -554,14 +555,9 @@ void ReplicaServer::poll_once(int timeout_ms) {
   if ((fds[0].revents & POLLIN) != 0) wake_.drain();
 
   if ((fds[1].revents & POLLIN) != 0) {
-    std::uint64_t accepted = 0;
     while (auto conn = listener_.accept()) {
       inbound_.push_back(Inbound{std::move(*conn), FrameReader{}});
-      ++accepted;
-    }
-    if (accepted != 0) {
-      const MutexLock lock(net_mutex_);
-      inbound_stats_.inbound_accepted += accepted;
+      inbound_totals_.inbound_accepted.add(1);
     }
   }
 
@@ -572,9 +568,6 @@ void ReplicaServer::poll_once(int timeout_ms) {
   std::vector<WireFrame>& frames = rx_frames_;
   std::vector<std::uint8_t>& bytes = rx_bytes_;
   frames.clear();
-  std::uint64_t bytes_read = 0;
-  std::uint64_t codec_errors = 0;
-  std::uint64_t closed = 0;
   for (std::size_t i = 0; i < polled_inbound; ++i) {
     const short revents = fds[inbound_base + i].revents;
     if ((revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
@@ -582,7 +575,7 @@ void ReplicaServer::poll_once(int timeout_ms) {
     bytes.clear();
     const IoStatus status = in.connection.read_available(bytes);
     if (!bytes.empty()) {
-      bytes_read += bytes.size();
+      inbound_totals_.bytes_received.add(bytes.size());
       in.reader.feed(bytes);
       try {
         while (auto frame = in.reader.next()) {
@@ -591,25 +584,18 @@ void ReplicaServer::poll_once(int timeout_ms) {
       } catch (const CodecError& e) {
         FASTCONS_LOG(warn, "net") << "dropping connection: " << e.what();
         in.connection.close();
-        ++codec_errors;
+        inbound_totals_.codec_errors.add(1);
       }
     }
     if (status == IoStatus::closed || status == IoStatus::error) {
       in.connection.close();
-      ++closed;
+      inbound_totals_.inbound_closed.add(1);
     }
   }
   std::erase_if(inbound_, [](const Inbound& in) {
     return !in.connection.valid();
   });
-  if (bytes_read != 0 || codec_errors != 0 || closed != 0 ||
-      !frames.empty()) {
-    const MutexLock lock(net_mutex_);
-    inbound_stats_.bytes_received += bytes_read;
-    inbound_stats_.frames_received += frames.size();
-    inbound_stats_.codec_errors += codec_errors;
-    inbound_stats_.inbound_closed += closed;
-  }
+  inbound_totals_.frames_received.add(frames.size());
 
   // Peers waiting for writability: connect completions and flushes.
   for (std::size_t i = 0; i < peer_order.size(); ++i) {
@@ -617,7 +603,7 @@ void ReplicaServer::poll_once(int timeout_ms) {
     if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
     PeerLink& link = *peer_order[i];
     if (!link.connection.valid()) continue;
-    if (link.connecting) {
+    if (link.stats.connecting.get()) {
       finish_connect(link);
     } else {
       // Writable again: staged frames move down to the watermark and leave
@@ -634,7 +620,7 @@ void ReplicaServer::poll_once(int timeout_ms) {
   for (const WireFrame& frame : frames) {
     const auto it = peer_links_.find(frame.sender);
     if (it == peer_links_.end() || it->second.connection.valid()) continue;
-    it->second.backoff_seconds = config_.reconnect_backoff_min;
+    it->second.stats.backoff_seconds.set(config_.reconnect_backoff_min);
     it->second.next_attempt = std::chrono::steady_clock::now();
   }
 
@@ -649,24 +635,6 @@ void ReplicaServer::poll_once(int timeout_ms) {
       }
     }
     transmit(outs_);
-  }
-}
-
-void ReplicaServer::mirror_peer_health() {
-  if (!config_.protocol.health.enabled) return;
-  std::vector<PeerHealthView> views;
-  {
-    const MutexLock lock(engine_mutex_);
-    if (engine_ == nullptr) return;
-    views = engine_->peer_health().views(now_units());
-  }
-  const MutexLock lock(net_mutex_);
-  for (const PeerHealthView& v : views) {
-    const auto it = peer_stats_.find(v.peer);
-    if (it == peer_stats_.end()) continue;
-    it->second.health = v.state;
-    it->second.health_last_heard_units = v.last_heard;
-    it->second.health_suspect_since_units = v.suspect_since;
   }
 }
 
@@ -701,7 +669,6 @@ void ReplicaServer::loop() {
     const double next_deadline = run_engine_turn(outs_);
     flush_durability();
     transmit(outs_);
-    mirror_peer_health();
 
     const double wait_units = std::max(0.0, next_deadline - now_units());
     const int timeout_ms = static_cast<int>(

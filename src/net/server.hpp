@@ -17,11 +17,10 @@
 // client read()/stats() latency is bounded by engine compute even when a
 // peer is unreachable or a connection is backpressured.
 //
-// Cross-thread transport counters live in peer_stats_/inbound_stats_ under
-// net_mutex_. Per-link transport state (PeerLink: the connection, the
-// connect-in-progress flag, the backoff clock) is owned by the loop thread
-// alone and deliberately carries no annotation; the loop mirrors the
-// observable bits into peer_stats_ under net_mutex_ whenever they change.
+// Transport state has one owner, the loop thread: each outbound link's
+// PeerLink record and the inbound totals. The loop is their only writer, so
+// what net_stats() reports is kept in relaxed single-writer atomics that any
+// thread may load; no lock guards them and nothing copies them per turn.
 #ifndef FASTCONS_NET_SERVER_HPP
 #define FASTCONS_NET_SERVER_HPP
 
@@ -73,9 +72,10 @@ struct PeerNetStats {
   /// pending queue to make room on outbox overflow — graceful degradation
   /// prefers shedding stale payloads over fresh summaries.
   std::uint64_t frames_shed = 0;
-  /// Engine-derived peer health, mirrored once per loop turn so operators
-  /// and the soak harness read the exact state selection acts on. Stays
-  /// `up` with zeroed timestamps when health tracking is disabled.
+  /// Engine-derived peer health, read from the engine when net_stats() is
+  /// called, so operators and the soak harness see the exact state
+  /// selection acts on. Stays `up` with zeroed timestamps when health
+  /// tracking is disabled.
   PeerHealth health = PeerHealth::up;
   double health_last_heard_units = 0.0;    ///< when we last heard from it
   double health_suspect_since_units = 0.0; ///< degradation start; 0 while up
@@ -133,11 +133,6 @@ struct ServerConfig {
   double reconnect_backoff_min = 0.05;
   double reconnect_backoff_max = 2.0;
 
-  /// Per-peer outbox cap: frames beyond this many buffered bytes are
-  /// dropped (counted in NetStats) instead of growing the buffer while a
-  /// peer is unreachable or stalled.
-  std::size_t max_peer_outbox_bytes = 4 * 1024 * 1024;
-
   /// Test transport shim: when set, every outbound frame to `to` is offered
   /// to this predicate before transmission and silently dropped (counted in
   /// NetStats::frames_dropped) when it returns true — the live-path mirror
@@ -187,10 +182,12 @@ class ReplicaServer {
   std::uint16_t port() const noexcept { return listener_.port(); }
   NodeId self() const noexcept { return config_.self; }
 
-  /// Replaces the peer table (call before start()).
+  /// Replaces the peer table (call before start(), and not while another
+  /// thread reads net_stats()).
   void set_peers(std::vector<PeerAddress> peers);
 
-  void start() EXCLUDES(engine_mutex_, net_mutex_);
+  /// Resets every link's transport state and counters, then runs the loop.
+  void start() EXCLUDES(engine_mutex_);
   /// Graceful shutdown: flushes the WAL group-commit tail and writes a
   /// final checkpoint (durable mode), so the next start() recovers from
   /// the checkpoint alone with zero WAL replay.
@@ -217,8 +214,12 @@ class ReplicaServer {
   EngineStats stats() const EXCLUDES(engine_mutex_);
   TrafficCounters traffic() const EXCLUDES(engine_mutex_);
 
-  /// Transport-layer health snapshot (thread-safe).
-  NetStats net_stats() const EXCLUDES(net_mutex_);
+  /// Transport-layer health snapshot (thread-safe). Built from the loop's
+  /// own link records when called; each field is read once, so the
+  /// snapshot is not one instant across fields, but the totals always equal
+  /// the sum over `peers` and no counter goes down between two calls
+  /// within one start().
+  NetStats net_stats() const EXCLUDES(engine_mutex_);
 
   /// What recovery found on disk. Filled during start() before the loop
   /// thread exists, immutable afterwards — safe to read once start()
@@ -235,14 +236,47 @@ class ReplicaServer {
   std::uint64_t kv_digest() const EXCLUDES(engine_mutex_);
 
  private:
-  /// Loop-thread-only transport state for one outbound link. The
-  /// cross-thread view of this link lives in peer_stats_ (guarded by
-  /// net_mutex_); helpers below mirror changes into it.
+  /// A value the loop thread alone writes and any thread may read. Relaxed
+  /// loads and stores suffice: with one writer an increment needs no
+  /// read-modify-write, and readers want each field, not a cut across them.
+  template <typename T>
+  class SingleWriter {
+   public:
+    SingleWriter& operator=(const SingleWriter& other) noexcept {
+      set(other.get());
+      return *this;
+    }
+    T get() const noexcept { return value_.load(std::memory_order_relaxed); }
+    void set(T value) noexcept {
+      value_.store(value, std::memory_order_relaxed);
+    }
+    void add(T n) noexcept { set(get() + n); }
+
+   private:
+    std::atomic<T> value_{};
+  };
+
+  /// What net_stats() reports for one link (PeerNetStats minus health).
+  struct LinkStats {
+    SingleWriter<bool> connected;
+    SingleWriter<bool> connecting;  // non-blocking connect awaiting writability
+    SingleWriter<double> backoff_seconds;
+    SingleWriter<std::uint64_t> frames_sent;
+    SingleWriter<std::uint64_t> bytes_sent;
+    SingleWriter<std::uint64_t> frames_dropped;
+    SingleWriter<std::uint64_t> frames_shed;
+    SingleWriter<std::uint64_t> bytes_abandoned;
+    SingleWriter<std::uint64_t> connect_attempts;
+    SingleWriter<std::uint64_t> connect_failures;
+    SingleWriter<std::uint64_t> disconnects;
+  };
+
+  /// Transport state for one outbound link, written by the loop thread
+  /// alone. Other threads read only `stats`; the rest is loop-thread only
+  /// and deliberately carries no annotation.
   struct PeerLink {
     PeerAddress address;
     TcpConnection connection;  // lazily (re)established outbound channel
-    bool connecting = false;   // non-blocking connect awaiting writability
-    double backoff_seconds = 0.0;
     std::chrono::steady_clock::time_point next_attempt{};  // epoch = "now"
     /// Frame-granular staging queue above the connection's byte outbox.
     /// Bytes handed to TcpConnection can no longer be dropped selectively,
@@ -255,15 +289,16 @@ class ReplicaServer {
     };
     std::deque<QueuedFrame> pending;
     std::size_t pending_bytes = 0;
-    /// This turn's counter deltas (frames staged, dropped, shed), folded
-    /// into peer_stats_ under one net_mutex_ acquisition per transmit().
-    struct Tally {
-      std::uint64_t frames_sent = 0;
-      std::uint64_t bytes_sent = 0;
-      std::uint64_t frames_dropped = 0;
-      std::uint64_t frames_shed = 0;
-    };
-    Tally tally;
+    bool staged = false;  ///< queued a frame this turn; transmit() pumps it
+    LinkStats stats;
+  };
+  /// Inbound/codec totals of NetStats, written by the loop thread alone.
+  struct InboundTotals {
+    SingleWriter<std::uint64_t> frames_received;
+    SingleWriter<std::uint64_t> bytes_received;
+    SingleWriter<std::uint64_t> inbound_accepted;
+    SingleWriter<std::uint64_t> inbound_closed;
+    SingleWriter<std::uint64_t> codec_errors;
   };
   struct Inbound {
     TcpConnection connection;
@@ -277,54 +312,48 @@ class ReplicaServer {
   /// Queues `command` for the next engine turn, waking the loop only when
   /// the queue was empty (see run_engine_turn).
   void submit(Command command) EXCLUDES(command_mutex_);
-  void loop() EXCLUDES(engine_mutex_, command_mutex_, net_mutex_);
+  void loop() EXCLUDES(engine_mutex_, command_mutex_);
   /// Runs queued commands and due timers under engine_mutex_, appending
   /// the engine's outbound messages to `outs`. No I/O. Returns the next
   /// timer deadline in protocol units (for the poll timeout).
   double run_engine_turn(std::vector<Outbound>& outs)
       EXCLUDES(engine_mutex_, command_mutex_);
   double now_units() const;
-  /// Encodes and stages all of `outs`, folds the links' tallies into
-  /// peer_stats_ under one net_mutex_ acquisition, then pumps each link
-  /// that staged a frame once. Performs socket I/O, so it must not (and
-  /// cannot, per the annotation) be called with engine_mutex_ held.
-  void transmit(std::vector<Outbound>& outs) EXCLUDES(engine_mutex_, net_mutex_);
+  /// Encodes and stages all of `outs`, then pumps each link that staged a
+  /// frame once. Performs socket I/O, so it must not (and cannot, per the
+  /// annotation) be called with engine_mutex_ held.
+  void transmit(std::vector<Outbound>& outs) EXCLUDES(engine_mutex_);
   /// Stages one frame on `link` (connecting it if needed, shedding on
-  /// overflow) and counts the outcome in link.tally. Sends nothing.
+  /// overflow) and counts the outcome in link.stats. Sends nothing.
   void enqueue_frame(PeerLink& link, std::vector<std::uint8_t> frame,
-                     bool sheddable) EXCLUDES(engine_mutex_, net_mutex_);
+                     bool sheddable) EXCLUDES(engine_mutex_);
   /// Moves staged frames into the connection's byte outbox while it sits
   /// below the feed watermark (frames past it stay sheddable in `pending`),
   /// then flushes the outbox once unless the connect is still in flight.
-  void pump_outbox(PeerLink& link) EXCLUDES(engine_mutex_, net_mutex_);
+  void pump_outbox(PeerLink& link) EXCLUDES(engine_mutex_);
   /// Starts a non-blocking connect if the link is down and its backoff
   /// window has elapsed. Returns true when the link has a usable
   /// (established or connecting) connection afterwards.
-  bool ensure_connection(PeerLink& link) EXCLUDES(engine_mutex_, net_mutex_);
+  bool ensure_connection(PeerLink& link) EXCLUDES(engine_mutex_);
   void register_connect_failure(PeerLink& link)
-      EXCLUDES(engine_mutex_, net_mutex_);
+      EXCLUDES(engine_mutex_);
   void drop_connection(PeerLink& link, bool was_established)
-      EXCLUDES(engine_mutex_, net_mutex_);
+      EXCLUDES(engine_mutex_);
   /// Advances `link`'s backoff by seeded decorrelated jitter, pinning it to
   /// the max when the health layer has degraded the peer (capped reconnect
   /// effort), and stamps next_attempt.
-  void schedule_reconnect(PeerLink& link) EXCLUDES(engine_mutex_, net_mutex_);
+  void schedule_reconnect(PeerLink& link) EXCLUDES(engine_mutex_);
   /// Engine-side health of `peer` at the current time; `up` when health
   /// tracking is disabled. Optionally records a connect failure first.
   PeerHealth peer_health_state(NodeId peer, bool note_failure)
       EXCLUDES(engine_mutex_);
-  /// Copies the engine's per-peer health views into the PeerNetStats mirror
-  /// (no-op when health tracking is disabled).
-  void mirror_peer_health() EXCLUDES(engine_mutex_, net_mutex_);
   /// Resolves a connecting link whose socket turned writable.
-  void finish_connect(PeerLink& link) EXCLUDES(engine_mutex_, net_mutex_);
-  void poll_once(int timeout_ms) EXCLUDES(engine_mutex_, net_mutex_);
+  void finish_connect(PeerLink& link) EXCLUDES(engine_mutex_);
+  void poll_once(int timeout_ms) EXCLUDES(engine_mutex_);
   /// Drains buffered WAL appends to disk and rewrites the checkpoint when
   /// due. File I/O — runs on the loop thread with no lock held (the engine
   /// lock is taken only briefly to swap the buffer / copy the snapshot).
   void flush_durability() EXCLUDES(engine_mutex_);
-  /// The guarded stats record for one configured peer (created in start()).
-  PeerNetStats& peer_stats_entry(NodeId peer) REQUIRES(net_mutex_);
 
   ServerConfig config_;
   TcpListener listener_;
@@ -367,14 +396,12 @@ class ReplicaServer {
   Mutex command_mutex_;
   std::vector<Command> commands_ GUARDED_BY(command_mutex_);
 
-  // Counters shared between the loop thread (writer) and net_stats()
-  // (reader): inbound/codec totals plus the per-peer link mirror.
-  mutable Mutex net_mutex_;
-  NetStats inbound_stats_ GUARDED_BY(net_mutex_);
-  std::map<NodeId, PeerNetStats> peer_stats_ GUARDED_BY(net_mutex_);
-
-  std::map<NodeId, PeerLink> peer_links_;  // loop thread only; keys fixed at start()
-  std::vector<Inbound> inbound_;           // loop thread only
+  /// Sorted by peer id. Its keys are fixed by the constructor and
+  /// set_peers(), before the loop or any net_stats() reader runs; after
+  /// that only the records' fields change.
+  std::map<NodeId, PeerLink> peer_links_;
+  InboundTotals inbound_totals_;
+  std::vector<Inbound> inbound_;  // loop thread only
 
   // Loop-thread scratch, reused across turns so a turn allocates nothing
   // for its bookkeeping: the commands swapped out of commands_, the engine's

@@ -5,12 +5,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -749,6 +753,143 @@ TEST(ServerTest, NetStatsCountTraffic) {
   ASSERT_EQ(n0.peers.size(), 1u);
   EXPECT_TRUE(n0.peers[0].connected);
   EXPECT_EQ(n0.peers[0].peer, 1u);
+}
+
+// What one snapshot must satisfy on its own: the totals are the sum over
+// `peers`, and `peers` is sorted by id. Returns the first violation.
+std::string net_stats_violation(const NetStats& s) {
+  NetStats sum;
+  for (const PeerNetStats& p : s.peers) {
+    sum.frames_sent += p.frames_sent;
+    sum.bytes_sent += p.bytes_sent;
+    sum.frames_dropped += p.frames_dropped;
+    sum.bytes_abandoned += p.bytes_abandoned;
+    sum.connect_attempts += p.connect_attempts;
+    sum.connect_failures += p.connect_failures;
+    sum.disconnects += p.disconnects;
+  }
+  if (sum.frames_sent != s.frames_sent || sum.bytes_sent != s.bytes_sent ||
+      sum.frames_dropped != s.frames_dropped ||
+      sum.bytes_abandoned != s.bytes_abandoned ||
+      sum.connect_attempts != s.connect_attempts ||
+      sum.connect_failures != s.connect_failures ||
+      sum.disconnects != s.disconnects) {
+    return "totals differ from the sum over peers";
+  }
+  for (std::size_t i = 1; i < s.peers.size(); ++i) {
+    if (s.peers[i - 1].peer >= s.peers[i].peer) return "peers not sorted by id";
+  }
+  return {};
+}
+
+// Every NetStats field that only grows within one start(), flattened.
+std::vector<std::uint64_t> growing_counters(const NetStats& s) {
+  std::vector<std::uint64_t> c{
+      s.frames_sent,      s.bytes_sent,       s.frames_dropped,
+      s.bytes_abandoned,  s.connect_attempts, s.connect_failures,
+      s.disconnects,      s.frames_received,  s.bytes_received,
+      s.inbound_accepted, s.inbound_closed,   s.codec_errors};
+  for (const PeerNetStats& p : s.peers) {
+    c.insert(c.end(), {p.frames_sent, p.bytes_sent, p.frames_dropped,
+                       p.bytes_abandoned, p.connect_attempts,
+                       p.connect_failures, p.disconnects, p.frames_shed});
+  }
+  return c;
+}
+
+// net_stats() reads the loop thread's own link records without a lock.
+// Two readers poll all three servers of a 0-1-2 line while it carries
+// load and node 2 is killed and restarted; every snapshot must be
+// self-consistent, and no counter may go down between one reader's
+// successive snapshots of the same server object.
+TEST(ServerTest, NetStatsConsistentUnderConcurrentReads) {
+  REQUIRE_LOOPBACK();
+  Rng rng(47);
+  const Graph g = make_line(3, {0.0, 0.0}, rng);
+  ClusterConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.protocol.health.enabled = true;  // net_stats() also reads the engine
+  cfg.seconds_per_unit = 0.02;
+  cfg.demands = {1.0, 5.0, 9.0};
+  LocalCluster cluster(g, cfg);
+  cluster.start();
+
+  // Nodes 0 and 1 live throughout. Node 2 is read under `node2_mutex` so
+  // the main thread can retire it before kill(); `node2_life` tells the
+  // readers a restarted server's counters begin again at zero.
+  const std::array<const ReplicaServer*, 2> survivors{&cluster.server(0),
+                                                      &cluster.server(1)};
+  std::mutex node2_mutex;
+  const ReplicaServer* node2 = &cluster.server(2);
+  int node2_life = 0;
+  std::atomic<bool> done{false};
+
+  const auto reader = [&](std::string& failure, std::uint64_t& snapshots) {
+    std::array<std::vector<std::uint64_t>, 2> last_survivor;
+    std::vector<std::uint64_t> last_node2;
+    int last_life = -1;
+    const auto check = [&](const NetStats& s,
+                           std::vector<std::uint64_t>& last) {
+      ++snapshots;
+      if (!failure.empty()) return;
+      failure = net_stats_violation(s);
+      std::vector<std::uint64_t> now = growing_counters(s);
+      if (failure.empty() && !last.empty()) {
+        for (std::size_t i = 0; i < now.size(); ++i) {
+          if (now[i] < last[i]) failure = "counter went down";
+        }
+      }
+      last = std::move(now);
+    };
+    while (!done.load()) {
+      for (std::size_t i = 0; i < survivors.size(); ++i) {
+        check(survivors[i]->net_stats(), last_survivor[i]);
+      }
+      {
+        const std::lock_guard<std::mutex> lock(node2_mutex);
+        if (node2 != nullptr) {
+          if (node2_life != last_life) last_node2.clear();
+          last_life = node2_life;
+          check(node2->net_stats(), last_node2);
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  std::array<std::string, 2> failures;
+  std::array<std::uint64_t, 2> snapshots{};
+  std::thread r0(reader, std::ref(failures[0]), std::ref(snapshots[0]));
+  std::thread r1(reader, std::ref(failures[1]), std::ref(snapshots[1]));
+
+  const LoadReport before = cluster.run_load(0, 200.0, 0.3, 10.0);
+  {
+    const std::lock_guard<std::mutex> lock(node2_mutex);
+    node2 = nullptr;
+  }
+  cluster.kill(2);
+  // Node 1's link to the dead node fails and backs off meanwhile.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  cluster.restart(2);
+  {
+    const std::lock_guard<std::mutex> lock(node2_mutex);
+    node2 = &cluster.server(2);
+    ++node2_life;
+  }
+  const LoadReport after = cluster.run_load(1, 200.0, 0.3, 15.0);
+  done.store(true);
+  r0.join();
+  r1.join();
+  const NetStats n1 = cluster.server(1).net_stats();
+  cluster.stop();
+
+  EXPECT_EQ(before.writes_confirmed, before.writes_issued);
+  EXPECT_EQ(after.writes_confirmed, after.writes_issued);
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    EXPECT_EQ(failures[i], "") << "reader " << i;
+    EXPECT_GT(snapshots[i], 0u) << "reader " << i;
+  }
+  ASSERT_EQ(n1.peers.size(), 2u);
+  EXPECT_GE(n1.peers[1].disconnects, 1u);  // the kill reached the reader's view
 }
 
 // Coalesced wakes: write() and set_demand() wake the loop only when they
