@@ -73,9 +73,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
   result.smoke = options.smoke;
   result.base_seed = options.base_seed;
 
-  // Materialise the executed points: smoke overrides, sweep filter, trial
-  // counts. Indices into spec.sweep are kept so seeds (and therefore
-  // numbers) do not depend on which subset of the sweep runs.
+  // Materialise the executed points: derived references, smoke overrides,
+  // sweep filter, trial counts. Indices into spec.sweep are kept so seeds
+  // (and therefore numbers) do not depend on which subset of the sweep runs.
   const std::size_t base_trials =
       options.trials.value_or(options.smoke ? spec.smoke_trials : spec.trials);
   if (base_trials == 0) throw ConfigError("trial count must be > 0");
@@ -90,6 +90,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     PointResult point_result;
     point_result.point = spec_point;
     point_result.index = i;
+    if (spec.derive_reference) {
+      for (auto& entry : spec.derive_reference(spec_point)) {
+        point_result.point.reference.push_back(std::move(entry));
+      }
+    }
     if (options.smoke) {
       for (const auto& [key, value] : spec.smoke_overrides) {
         set_param(point_result.point.params, key, value);

@@ -53,7 +53,8 @@ struct SweepPoint {
   TagMap tags;
 
   /// Static reference values echoed into the results file: paper-reported
-  /// numbers, analytic curves, structural metrics of a sample topology.
+  /// numbers and analytic curves. Values that cost work to compute belong
+  /// in ScenarioSpec::derive_reference instead.
   ParamMap reference;
 
   /// Per-point divisor on the scenario's trial count (expensive sweep points
@@ -138,6 +139,14 @@ struct ScenarioSpec {
 
   /// Runs one repetition.
   TrialFn run;
+
+  /// Optional: reference values derived from a point (the structural
+  /// metrics of a sample topology, say). run_scenario calls it once per
+  /// executed point, single-threaded and before any trial, with the point
+  /// as registered (no smoke overrides), and appends the result after the
+  /// point's static `reference`. Points that do not run never pay for it,
+  /// so building the registry stays cheap.
+  std::function<ParamMap(const SweepPoint&)> derive_reference;
 };
 
 /// Derives the seed for one trial: a pure function of the base seed, the

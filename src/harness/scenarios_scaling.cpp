@@ -8,11 +8,13 @@
 namespace fastcons::harness {
 namespace {
 
-/// Structural metrics of one sample topology, stored as reference values so
-/// the results file can relate sessions to the diameter (the §5 claim).
-ParamMap structural_reference(const TopologyFactory& topo) {
+/// Structural metrics of the point's probe-123 sample topology, echoed as
+/// reference values so the results file can relate sessions to the
+/// diameter (the §5 claim). A ScenarioSpec::derive_reference hook: only
+/// points that run pay for the all-pairs BFS.
+ParamMap structural_reference(const SweepPoint& point) {
   Rng probe(123);
-  const Graph sample = topo(probe);
+  const Graph sample = topology_from_point(point)(probe);
   return {{"sample_diameter", static_cast<double>(diameter(sample))},
           {"sample_mean_path", mean_path_length(sample)}};
 }
@@ -29,8 +31,7 @@ void add_topology_points(std::vector<SweepPoint>& sweep,
                          const std::string& topo_label, const TagMap& topo_tags,
                          const ParamMap& params,
                          const std::vector<std::string>& algos,
-                         std::size_t trials_divisor = 1,
-                         bool with_reference = false) {
+                         std::size_t trials_divisor = 1) {
   for (const std::string& algo : algos) {
     SweepPoint point;
     point.label = topo_label + "/" + algo;
@@ -41,9 +42,6 @@ void add_topology_points(std::vector<SweepPoint>& sweep,
     // One seed stream for the whole scenario: algorithm columns (and the
     // retired benches' per-row comparisons) share random instances.
     point.seed_group = 0;
-    if (with_reference) {
-      point.reference = structural_reference(topology_from_point(point));
-    }
     sweep.push_back(std::move(point));
   }
 }
@@ -132,11 +130,12 @@ void register_scaling_scenarios(ScenarioRegistry& registry) {
     for (const auto& [n, divisor] : sizes) {
       add_topology_points(spec.sweep, "ba-" + std::to_string(n),
                           {{"topo", "ba"}}, {{"n", static_cast<double>(n)}},
-                          weak_fast, divisor, /*with_reference=*/true);
+                          weak_fast, divisor);
     }
     spec.trials = 1000;
     spec.smoke_trials = 2;
     spec.run = uniform_propagation_trial;
+    spec.derive_reference = structural_reference;
     registry.add(std::move(spec));
   }
   {
@@ -155,11 +154,12 @@ void register_scaling_scenarios(ScenarioRegistry& registry) {
           spec.sweep, "grid-" + std::to_string(k) + "x" + std::to_string(k),
           {{"topo", "grid"}},
           {{"w", static_cast<double>(k)}, {"h", static_cast<double>(k)}},
-          weak_fast, divisor, /*with_reference=*/true);
+          weak_fast, divisor);
     }
     spec.trials = 1000;
     spec.smoke_trials = 2;
     spec.run = uniform_propagation_trial;
+    spec.derive_reference = structural_reference;
     registry.add(std::move(spec));
   }
   {

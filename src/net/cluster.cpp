@@ -170,7 +170,7 @@ bool LocalCluster::wait_for_peer_health(double timeout_seconds) {
 LoadReport LocalCluster::run_load(NodeId writer, double writes_per_sec,
                                   double seconds,
                                   double drain_timeout_seconds) {
-  FASTCONS_EXPECTS(writer < servers_.size());
+  FASTCONS_EXPECTS(alive(writer));
   if (writes_per_sec <= 0.0 || seconds <= 0.0) {
     throw ConfigError("run_load needs a positive rate and duration");
   }
@@ -187,13 +187,16 @@ LoadReport LocalCluster::run_load(NodeId writer, double writes_per_sec,
 
   // Writes confirm roughly in issue order (summaries grow monotonically),
   // so each pass only probes a bounded front window of the queue; entries
-  // behind an unconfirmed one are retried on the next pass.
+  // behind an unconfirmed one are retried on the next pass. Killed servers
+  // are skipped, as in converged(): visibility is a statement about the
+  // replicas that exist.
   const auto confirm_pass = [&](Clock::time_point now) {
     std::size_t probed = 0;
     while (!pending.empty() && probed < 32) {
       Outstanding& front = pending.front();
       while (front.next_node < servers_.size() &&
-             servers_[front.next_node]->read(front.key).has_value()) {
+             (servers_[front.next_node] == nullptr ||
+              servers_[front.next_node]->read(front.key).has_value())) {
         ++front.next_node;
       }
       if (front.next_node < servers_.size()) break;

@@ -139,8 +139,10 @@ class LocalCluster {
   /// writes at node `writer` on a steady schedule, tracking when each
   /// write becomes visible on every replica. After the issue window, keeps
   /// polling up to `drain_timeout_seconds` for the stragglers. The cluster
-  /// must be start()ed. Keys are "load/<writer>/<i>" — unique per call
-  /// only if callers vary the writer or restart the cluster.
+  /// must be start()ed and `writer` alive; killed servers are skipped, so
+  /// "every replica" means every replica that exists. Keys are
+  /// "load/<writer>/<i>" — unique per call only if callers vary the writer
+  /// or restart the cluster.
   LoadReport run_load(NodeId writer, double writes_per_sec, double seconds,
                       double drain_timeout_seconds = 30.0);
 

@@ -64,8 +64,14 @@ void ReplicaServer::start() {
   for (const PeerAddress& peer : config_.peers) {
     neighbour_ids.push_back(peer.id);
   }
-  // No loop thread runs, so this thread is the links' one writer here; a
-  // concurrent net_stats() reads only the atomics being reset.
+  // No loop thread runs, so this thread is the counters' one writer here; a
+  // concurrent net_stats() reads only the atomics being reset. Link and
+  // inbound counters reset together, and connections left from an earlier
+  // lifetime are closed (inbound here, outbound below), so one NetStats
+  // covers one lifetime and no earlier lifetime's frame reaches this
+  // engine.
+  inbound_totals_ = InboundTotals{};
+  inbound_.clear();
   const auto now = std::chrono::steady_clock::now();
   for (auto& [id, link] : peer_links_) {
     link.connection.close();

@@ -84,7 +84,10 @@ struct PeerNetStats {
 /// Snapshot of a server's transport-layer counters: per-peer link health
 /// plus inbound/codec totals. Weak consistency tolerates dropped frames —
 /// the next anti-entropy session repairs them — so drops are telemetry
-/// here, not errors.
+/// here, not errors. Every counter covers the current lifetime only:
+/// start() zeroes the inbound totals and the per-peer counters together
+/// and closes the connections of the previous lifetime, so after a
+/// stop()/start() no field mixes two lifetimes.
 struct NetStats {
   std::uint64_t frames_sent = 0;    ///< sum over peers
   std::uint64_t bytes_sent = 0;     ///< sum over peers
@@ -292,7 +295,8 @@ class ReplicaServer {
     bool staged = false;  ///< queued a frame this turn; transmit() pumps it
     LinkStats stats;
   };
-  /// Inbound/codec totals of NetStats, written by the loop thread alone.
+  /// Inbound/codec totals of NetStats, written by the loop thread alone
+  /// (start() zeroes them before the loop thread exists).
   struct InboundTotals {
     SingleWriter<std::uint64_t> frames_received;
     SingleWriter<std::uint64_t> bytes_received;
@@ -401,7 +405,7 @@ class ReplicaServer {
   /// that only the records' fields change.
   std::map<NodeId, PeerLink> peer_links_;
   InboundTotals inbound_totals_;
-  std::vector<Inbound> inbound_;  // loop thread only
+  std::vector<Inbound> inbound_;  // loop thread only; start() clears it first
 
   // Loop-thread scratch, reused across turns so a turn allocates nothing
   // for its bookkeeping: the commands swapped out of commands_, the engine's

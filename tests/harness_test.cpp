@@ -2,6 +2,7 @@
 // guarantee that results are bit-identical regardless of thread count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "common/error.hpp"
@@ -9,6 +10,7 @@
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenarios.hpp"
+#include "topology/metrics.hpp"
 
 namespace fastcons::harness {
 namespace {
@@ -71,6 +73,20 @@ TEST(ScenarioRegistry, LiveFamilyIsSeparateFromBuiltins) {
   }
   EXPECT_GE(weak, 3u);
   EXPECT_EQ(weak, fast);
+}
+
+TEST(ScenarioRegistry, BuildingComputesNoStructuralReference) {
+  // The §5 diameter families derive each point's sample-topology metrics
+  // when the point runs (ScenarioSpec::derive_reference), so building the
+  // registry runs no graph algorithm and leaves their references empty.
+  const ScenarioRegistry registry = builtin_registry();
+  for (const char* name : {"diameter-ba", "diameter-grid"}) {
+    const ScenarioSpec& spec = registry.get(name);
+    EXPECT_TRUE(spec.derive_reference) << name;
+    for (const SweepPoint& point : spec.sweep) {
+      EXPECT_TRUE(point.reference.empty()) << name << " " << point.label;
+    }
+  }
 }
 
 TEST(ScenarioRegistry, UnknownNameIsNullFromFindAndThrowsFromGet) {
@@ -284,6 +300,38 @@ TEST(TrialRunner, SeedGroupsPairPointsOnIdenticalSeeds) {
   EXPECT_NE(seeds(0), seeds(2));  // no group: independent stream
 }
 
+TEST(TrialRunner, DerivedReferenceFollowsStaticReferenceForExecutedPoints) {
+  // derive_reference runs once per executed point, sees the point as
+  // registered (before smoke overrides), and appends after the static
+  // reference; a filtered-out point is never derived.
+  ScenarioSpec spec;
+  spec.name = "derived";
+  for (const char* label : {"a", "b"}) {
+    SweepPoint point;
+    point.label = label;
+    point.params = {{"n", 7}};
+    point.reference = {{"paper", 1.0}};
+    spec.sweep.push_back(std::move(point));
+  }
+  spec.smoke_overrides = {{"n", 3}};
+  spec.run = [](const SweepPoint&, std::uint64_t, TrialContext&) {
+    return TrialResult{};
+  };
+  std::vector<std::string> derived_for;
+  spec.derive_reference = [&](const SweepPoint& point) {
+    derived_for.push_back(point.label);
+    return ParamMap{{"derived_n", param_or(point.params, "n", 0.0)}};
+  };
+  RunOptions options = smoke_options(2);
+  options.sweep_filter = "b";
+  const ScenarioResult result = run_scenario(spec, options);
+  EXPECT_EQ(derived_for, std::vector<std::string>{"b"});
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_EQ(result.points[0].point.reference,
+            (ParamMap{{"paper", 1.0}, {"derived_n", 7.0}}));
+  EXPECT_EQ(param_or(result.points[0].point.params, "n", 0.0), 3.0);
+}
+
 TEST(TrialRunner, TrialExceptionsPropagate) {
   ScenarioSpec spec;
   spec.name = "throws";
@@ -310,6 +358,35 @@ TEST(Scenarios, TopologyFromPointBuildsErWaxmanAndComplete) {
     EXPECT_EQ(graph.size(), 12u) << kind;
     if (kind == "complete") {
       EXPECT_EQ(graph.edge_count(), 12u * 11u / 2u);
+    }
+  }
+}
+
+TEST(Scenarios, DiameterReferencesMatchTheProbeSampleBitForBit) {
+  // The §5 references are the diameter and mean path of the probe-123
+  // sample of each point's topology, as they were when registration
+  // computed them eagerly.
+  const ScenarioRegistry registry = builtin_registry();
+  const std::pair<const char*, const char*> cases[] = {
+      {"diameter-ba", "ba-25"}, {"diameter-grid", "grid-3x3"}};
+  for (const auto& [name, filter] : cases) {
+    RunOptions options = smoke_options(1);
+    options.sweep_filter = filter;
+    const ScenarioResult result = run_scenario(registry.get(name), options);
+    ASSERT_EQ(result.points.size(), 2u) << name;  // weak and fast
+    for (const PointResult& point : result.points) {
+      Rng probe(123);
+      const Graph sample = topology_from_point(point.point)(probe);
+      const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+      ASSERT_EQ(point.point.reference.size(), 2u) << point.point.label;
+      EXPECT_EQ(point.point.reference[0].first, "sample_diameter");
+      EXPECT_EQ(bits(point.point.reference[0].second),
+                bits(static_cast<double>(diameter(sample))))
+          << point.point.label;
+      EXPECT_EQ(point.point.reference[1].first, "sample_mean_path");
+      EXPECT_EQ(bits(point.point.reference[1].second),
+                bits(mean_path_length(sample)))
+          << point.point.label;
     }
   }
 }

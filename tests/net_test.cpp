@@ -755,6 +755,77 @@ TEST(ServerTest, NetStatsCountTraffic) {
   EXPECT_EQ(n0.peers[0].peer, 1u);
 }
 
+TEST(ServerTest, RestartResetsInboundAndLinkCountersTogether) {
+  REQUIRE_LOOPBACK();
+  // Timers off (no adverts, no sessions in test time), so traffic flows
+  // only when the test causes it and a restarted cluster stays silent.
+  Rng rng(13);
+  const Graph g = make_line(2, {0.0, 0.0}, rng);
+  ClusterConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.protocol.advert_period = 0.0;
+  cfg.protocol.session_period = 1e9;
+  cfg.seconds_per_unit = 0.02;
+  cfg.demands = {1.0, 9.0};
+  LocalCluster cluster(g, cfg);
+  cluster.start();
+  // Prime node 0's demand table with an advert "from" node 1 over a test
+  // connection, so a write fast-pushes: link counters on both nodes, and
+  // inbound counters from the test connection and the peer.
+  {
+    TcpConnection prime =
+        TcpConnection::connect("127.0.0.1", cluster.server(0).port());
+    prime.queue(encode_frame(1, Message{DemandAdvert{100.0}}));
+    for (int i = 0; i < 200 && prime.flush() == IoStatus::would_block; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (int i = 0; i < 2000 && cluster.server(0).net_stats().frames_received == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  cluster.server(0).write("k", "v");
+  const bool converged = cluster.wait_for_convergence(10.0, 1);
+  const NetStats before0 = cluster.server(0).net_stats();
+  const NetStats before1 = cluster.server(1).net_stats();
+  cluster.stop();
+  ASSERT_TRUE(converged);
+  EXPECT_GT(before0.frames_sent, 0u);
+  EXPECT_GT(before0.frames_received, 0u);
+  EXPECT_GT(before0.inbound_accepted, 0u);
+  EXPECT_GT(before1.frames_sent, 0u);
+  EXPECT_GT(before1.frames_received, 0u);
+
+  cluster.start();
+  const NetStats after0 = cluster.server(0).net_stats();
+  const NetStats after1 = cluster.server(1).net_stats();
+  cluster.stop();
+  for (const NetStats& after : {after0, after1}) {
+    EXPECT_EQ(after.frames_sent, 0u);
+    EXPECT_EQ(after.bytes_sent, 0u);
+    EXPECT_EQ(after.frames_dropped, 0u);
+    EXPECT_EQ(after.bytes_abandoned, 0u);
+    EXPECT_EQ(after.connect_attempts, 0u);
+    EXPECT_EQ(after.connect_failures, 0u);
+    EXPECT_EQ(after.disconnects, 0u);
+    EXPECT_EQ(after.frames_received, 0u);
+    EXPECT_EQ(after.bytes_received, 0u);
+    EXPECT_EQ(after.inbound_accepted, 0u);
+    EXPECT_EQ(after.inbound_closed, 0u);
+    EXPECT_EQ(after.codec_errors, 0u);
+    ASSERT_EQ(after.peers.size(), 1u);
+    const PeerNetStats& peer = after.peers[0];
+    EXPECT_EQ(peer.frames_sent, 0u);
+    EXPECT_EQ(peer.bytes_sent, 0u);
+    EXPECT_EQ(peer.frames_dropped, 0u);
+    EXPECT_EQ(peer.bytes_abandoned, 0u);
+    EXPECT_EQ(peer.connect_attempts, 0u);
+    EXPECT_EQ(peer.connect_failures, 0u);
+    EXPECT_EQ(peer.disconnects, 0u);
+    EXPECT_EQ(peer.frames_shed, 0u);
+  }
+}
+
 // What one snapshot must satisfy on its own: the totals are the sum over
 // `peers`, and `peers` is sorted by id. Returns the first violation.
 std::string net_stats_violation(const NetStats& s) {
@@ -1048,6 +1119,26 @@ TEST(ClusterTest, KillRestartRecoversAcknowledgedWrites) {
   ASSERT_TRUE(converged);
   EXPECT_EQ(before, "crash");
   EXPECT_EQ(during, "crash");
+}
+
+TEST(ClusterTest, RunLoadConfirmsOnLiveNodesWhileOneIsKilled) {
+  REQUIRE_LOOPBACK();
+  // A killed replica cannot confirm anything; run_load must wait for the
+  // replicas that exist, as converged() does, not dereference the dead one.
+  Rng rng(32);
+  const Graph g = make_line(3, {0.0, 0.0}, rng);
+  ClusterConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.seconds_per_unit = 0.02;
+  cfg.demands = {1.0, 5.0, 9.0};
+  LocalCluster cluster(g, cfg);
+  cluster.start();
+  cluster.kill(2);
+  const LoadReport report = cluster.run_load(0, 100.0, 0.1, 10.0);
+  cluster.stop();
+  EXPECT_GT(report.writes_issued, 0u);
+  EXPECT_EQ(report.writes_confirmed, report.writes_issued);
+  EXPECT_EQ(report.visibility_latency_ms.count(), report.writes_confirmed);
 }
 
 // ------------------------------------------------------- durable clusters ----
