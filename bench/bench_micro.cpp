@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/engine.hpp"
 #include "core/policy.hpp"
 #include "demand/demand_model.hpp"
@@ -159,7 +160,7 @@ void BM_PartnerChoose(benchmark::State& state, PartnerSelection selection) {
   for (std::size_t i = 0; i < n; ++i) neighbours[i] = static_cast<NodeId>(i);
   DemandTable table(neighbours);
   for (const NodeId peer : neighbours) {
-    table.update(peer, rng.uniform(0.0, 100.0));
+    table.set_demand(table.slot_of(peer), rng.uniform(0.0, 100.0));
   }
   const std::unique_ptr<PartnerPolicy> policy = make_policy(selection);
   for (auto _ : state) {
@@ -175,9 +176,10 @@ BENCHMARK_CAPTURE(BM_PartnerChoose, demand, PartnerSelection::demand_dynamic)
     ->Arg(64);
 
 void BM_DemandTableUpdate(benchmark::State& state) {
-  // Every DemandAdvert the engine handles updates the table, so this
-  // lookup is the hottest demand-layer path. Must stay O(1) in the
-  // neighbour count (it was a linear scan once; the Args show the scaling).
+  // Every message the engine handles resolves its sender to a slot once
+  // (the table's one peer-keyed search); a DemandAdvert then writes that
+  // slot's row. Must stay near O(1) in the neighbour count (it was a
+  // linear scan once; the Args show the scaling).
   Rng rng(7);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<NodeId> neighbours(n);
@@ -189,9 +191,9 @@ void BM_DemandTableUpdate(benchmark::State& state) {
   for (auto _ : state) {
     for (const NodeId peer : probe) {
       demand += 1e-6;
-      table.update(peer, demand);
+      table.set_demand(table.slot_of(peer), demand);
     }
-    benchmark::DoNotOptimize(table.entries().data());
+    benchmark::DoNotOptimize(table.row(0).demand);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(probe.size()));
@@ -348,7 +350,7 @@ void BM_SessionHandshake(benchmark::State& state) {
     a.prime_neighbour_demand(1, 1.0, 0.0);
     b.prime_neighbour_demand(0, 1.0, 0.0);
     for (std::int64_t i = 0; i < state.range(0); ++i) {
-      a.local_write("k" + std::to_string(i), "v", 0.0);
+      a.local_write(numbered("k", i), "v", 0.0);
     }
     state.ResumeTiming();
     auto m1 = a.on_session_timer(0.0);

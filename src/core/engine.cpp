@@ -17,6 +17,14 @@ auto find_by_id(Vec& entries, std::uint64_t id) {
   return entries.end();
 }
 
+/// Whether `known` covers every update in `gained`.
+bool covers_all(const SummaryVector& known,
+                const std::vector<OfferedId>& gained) {
+  return std::all_of(gained.begin(), gained.end(), [&](const OfferedId& u) {
+    return known.contains(u.id);
+  });
+}
+
 }  // namespace
 
 std::string_view delivery_path_name(DeliveryPath p) noexcept {
@@ -28,20 +36,18 @@ std::string_view delivery_path_name(DeliveryPath p) noexcept {
   return "?";
 }
 
-ReplicaEngine::ReplicaEngine(NodeId self, std::vector<NodeId> neighbours,
+ReplicaEngine::ReplicaEngine(NodeId self,
+                             const std::vector<NodeId>& neighbours,
                              ProtocolConfig config, std::uint64_t seed)
     : self_(self),
       config_(config),
       rng_(seed),
-      table_(std::move(neighbours)),
-      policy_(make_policy(config.selection)) {
+      table_(neighbours),
+      health_(config.health),
+      policy_(make_policy(config.selection)),
+      knowledge_(table_.slots()) {
   FASTCONS_EXPECTS(config_.session_period > 0.0);
   FASTCONS_EXPECTS(config_.fast_fanout >= 1);
-  health_.reset(config_.health);
-  for (const DemandEntry& entry : table_.entries()) {
-    health_.add_peer(entry.peer, 0.0);
-  }
-  seat_peer_knowledge();
 }
 
 void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
@@ -61,10 +67,7 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
   rng_ = Rng(seed);
   log_.clear();
   table_.reset(neighbours);
-  health_.reset(config_.health);
-  for (const DemandEntry& entry : table_.entries()) {
-    health_.add_peer(entry.peer, 0.0);
-  }
+  health_ = PeerHealthTracker(config_.health);
   hooks_ = EngineHooks{};
   stats_ = EngineStats{};
   counters_ = TrafficCounters{};
@@ -74,33 +77,43 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
   next_offer_ = 0;
   sessions_.clear();
   offers_.clear();
-  seat_peer_knowledge();
+  // Resizing keeps the surviving entries' summary buffers; clearing them
+  // makes the knowledge what a fresh engine would start with.
+  knowledge_.resize(table_.slots());
+  for (SummaryVector& known : knowledge_) known.clear();
 }
 
-void ReplicaEngine::seat_peer_knowledge() {
-  // Resizing keeps the surviving entries' summary buffers; re-keying and
-  // clearing them makes the table what a fresh engine would build.
-  const std::vector<DemandEntry>& neighbours = table_.entries();
-  peer_knowledge_.resize(neighbours.size());
-  for (std::size_t i = 0; i < neighbours.size(); ++i) {
-    peer_knowledge_[i].first = neighbours[i].peer;
-    peer_knowledge_[i].second.clear();
-  }
-  std::sort(peer_knowledge_.begin(), peer_knowledge_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+PeerSlot ReplicaEngine::seat(NodeId peer) {
+  const PeerSlot slot = table_.seat(peer);
+  if (slot == knowledge_.size()) knowledge_.emplace_back();
+  FASTCONS_ASSERT(knowledge_.size() == table_.slots());
+  return slot;
 }
 
 void ReplicaEngine::prime_neighbour_demand(NodeId peer, double demand,
                                            SimTime /*now*/) {
-  table_.update(peer, demand);
+  const PeerSlot slot = table_.slot_of(peer);
+  if (slot != kNoSlot) table_.set_demand(slot, demand);
 }
 
 void ReplicaEngine::add_overlay_neighbour(NodeId peer, SimTime now) {
-  table_.add_neighbour(peer);
-  health_.add_peer(peer, now);
+  // A former stranger keeps its slot, and with it what was learnt about it.
+  table_.add_neighbour(seat(peer), now);
   policy_->reset();
-  // A former stranger keeps what was learnt about it.
-  knowledge_for(peer);
+}
+
+PeerHealthView ReplicaEngine::health_of(NodeId peer, SimTime now) const {
+  const PeerSlot slot = table_.slot_of(peer);
+  if (slot == kNoSlot || !table_.row(slot).neighbour) {
+    return PeerHealthView{peer};
+  }
+  return health_.view(peer, table_.row(slot).health, now);
+}
+
+void ReplicaEngine::note_peer_failure(NodeId peer, SimTime now) {
+  if (!health_.enabled()) return;
+  const PeerSlot slot = table_.slot_of(peer);
+  if (slot != kNoSlot) table_.record_failure(slot, now);
 }
 
 void ReplicaEngine::send(std::vector<Outbound>& out, NodeId to, Message msg) {
@@ -157,8 +170,8 @@ void ReplicaEngine::maybe_auto_truncate() {
   // The frontier needs evidence about every neighbour; one we have never
   // exchanged summaries with has an empty summary, making the meet empty.
   SummaryVector stable = log_.summary();
-  for (const DemandEntry& entry : table_.entries()) {
-    const SummaryVector& known = neighbour_knowledge(entry.peer);
+  for (const PeerSlot slot : table_.neighbours()) {
+    const SummaryVector& known = knowledge_[slot];
     if (known.empty()) return;  // the meet would truncate nothing
     stable = SummaryVector::meet(stable, known);
   }
@@ -190,15 +203,14 @@ void ReplicaEngine::start_session_with(NodeId peer, SimTime now,
 }
 
 void ReplicaEngine::on_session_request(NodeId from, const SessionRequest& m,
-                                       SimTime /*now*/,
                                        std::vector<Outbound>& out) {
   // Step 4: "B sends to E its summary vector." The responder keeps no state;
   // everything it needs later arrives inside SessionPush.
   send(out, from, SessionSummary{m.session_id, log_.summary()});
 }
 
-void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
-                                       SimTime now,
+void ReplicaEngine::on_session_summary(NodeId from, PeerSlot slot,
+                                       const SessionSummary& m, SimTime now,
                                        std::vector<Outbound>& out) {
   const auto it = find_by_id(sessions_, m.session_id);
   if (it == sessions_.end() || it->second.peer != from ||
@@ -214,18 +226,18 @@ void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
   if (!truncated.empty()) {
     missing = log_.all_retained();
   }
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector& known = knowledge_[slot];
   known.merge(m.summary);
   for (const Update& u : missing) known.add(u.id);
   send(out, from, SessionPush{m.session_id, log_.summary(), std::move(missing)});
 }
 
-void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
-                                    std::vector<Outbound>& out) {
+void ReplicaEngine::on_session_push(NodeId from, PeerSlot slot, SessionPush m,
+                                    SimTime now, std::vector<Outbound>& out) {
   // The initiator's summary plus the updates it just sent describe
   // everything it will hold once this exchange completes. Nothing below
-  // adds a peer entry, so `known` stays valid to the reply.
-  SummaryVector& known = knowledge_for(from);
+  // seats a peer, so `known` stays valid to the reply.
+  SummaryVector& known = knowledge_[slot];
   known.merge(m.summary);
   for (const Update& u : m.updates) known.add(u.id);
   SummaryVector their_view = std::move(m.summary);
@@ -246,15 +258,13 @@ void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
   after_gain(gained, from, DeliveryPath::session, now, out);
 }
 
-void ReplicaEngine::on_session_reply(NodeId from, SessionReply m, SimTime now,
+void ReplicaEngine::on_session_reply(NodeId from, PeerSlot slot,
+                                     SessionReply m, SimTime now,
                                      std::vector<Outbound>& out) {
   const auto it = find_by_id(sessions_, m.session_id);
   if (it == sessions_.end() || it->second.peer != from) return;
   sessions_.erase(it);
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : m.updates) known.add(u.id);
-  }
+  for (const Update& u : m.updates) knowledge_[slot].add(u.id);
   const std::vector<OfferedId> gained =
       apply_all(std::move(m.updates), DeliveryPath::session, now);
   ++stats_.sessions_completed;
@@ -293,24 +303,20 @@ void ReplicaEngine::after_gain(const std::vector<OfferedId>& gained,
     if (config_.push_rule == FastPushRule::gradient) {
       // "the neighbour with even greater demand": the chain only continues
       // downhill into the demand valley. Health decay ages a suspect peer's
-      // demand, so pushes stop chasing silent peers before they are declared
-      // fully down.
-      const auto demand = table_.demand_of(peer);
-      if (!demand.has_value()) continue;
-      double effective = *demand;
-      if (health != nullptr) effective *= health->demand_factor(peer, now);
-      if (effective <= own_demand_) {
-        if (health != nullptr && *demand > own_demand_) {
+      // demand (the rank key is already decayed), so pushes stop chasing
+      // silent peers before they are declared fully down.
+      if (ranked.demand <= own_demand_) {
+        if (health != nullptr && table_.row(ranked.slot).demand > own_demand_) {
           ++stats_.pushes_suppressed_unhealthy;
         }
         continue;
       }
     }
-    if (peer_known_to_have_all(peer, gained)) continue;
+    const SummaryVector& knowledge = knowledge_[ranked.slot];
+    if (covers_all(knowledge, gained)) continue;
     FastOffer offer;
     offer.offer_id = (static_cast<std::uint64_t>(self_) << 32) | ++next_offer_;
     OfferState state{peer, now, {}};
-    const SummaryVector& knowledge = knowledge_for(peer);
     for (const OfferedId& u : gained) {
       if (knowledge.contains(u.id)) continue;
       offer.offered.push_back(u);
@@ -324,14 +330,14 @@ void ReplicaEngine::after_gain(const std::vector<OfferedId>& gained,
   }
 }
 
-void ReplicaEngine::on_fast_offer(NodeId from, const FastOffer& m,
-                                  SimTime now, std::vector<Outbound>& out) {
+void ReplicaEngine::on_fast_offer(NodeId from, PeerSlot slot,
+                                  const FastOffer& m,
+                                  std::vector<Outbound>& out) {
   ++stats_.offers_received;
-  (void)now;
   FastAck ack;
   ack.offer_id = m.offer_id;
   std::vector<UpdateId> missing;
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector& known = knowledge_[slot];
   for (const OfferedId& offered : m.offered) {
     known.add(offered.id);  // the offerer evidently has it
     if (!log_.contains(offered.id)) missing.push_back(offered.id);
@@ -346,13 +352,13 @@ void ReplicaEngine::on_fast_offer(NodeId from, const FastOffer& m,
   send(out, from, std::move(ack));
 }
 
-void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
+void ReplicaEngine::on_fast_ack(NodeId from, PeerSlot slot, const FastAck& m,
                                 std::vector<Outbound>& out) {
   const auto it = find_by_id(offers_, m.offer_id);
   if (it == offers_.end() || it->second.peer != from) return;
   const OfferState state = std::move(it->second);
   offers_.erase(it);
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector& known = knowledge_[slot];
   if (!m.yes) {
     // Step 18: "B sends nothing" — but we learned the peer has everything.
     for (const UpdateId id : state.offered) known.add(id);
@@ -379,12 +385,9 @@ void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
   if (!data.updates.empty()) send(out, from, std::move(data));
 }
 
-void ReplicaEngine::on_fast_data(NodeId from, FastData m, SimTime now,
-                                 std::vector<Outbound>& out) {
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : m.updates) known.add(u.id);
-  }
+void ReplicaEngine::on_fast_data(NodeId from, PeerSlot slot, FastData m,
+                                 SimTime now, std::vector<Outbound>& out) {
+  for (const Update& u : m.updates) knowledge_[slot].add(u.id);
   const std::vector<OfferedId> gained =
       apply_all(std::move(m.updates), DeliveryPath::fast_push, now);
   // Step 13 applies recursively: novel content chains to the next valley.
@@ -405,14 +408,9 @@ void ReplicaEngine::on_advert_timer(SimTime /*now*/,
   // Every neighbour, down ones included: adverts are the recovery channel
   // that lets a down peer hear from us and answer, so they are never
   // health-gated.
-  for (const DemandEntry& entry : table_.entries()) {
-    send(out, entry.peer, DemandAdvert{own_demand_});
+  for (const PeerSlot slot : table_.neighbours()) {
+    send(out, table_.row(slot).peer, DemandAdvert{own_demand_});
   }
-}
-
-void ReplicaEngine::on_demand_advert(NodeId from, const DemandAdvert& m,
-                                     SimTime, std::vector<Outbound>&) {
-  table_.update(from, m.demand);
 }
 
 // --------------------------------------------------------------------------
@@ -427,9 +425,10 @@ EngineSnapshot ReplicaEngine::snapshot() const {
   s.own_demand = own_demand_;
   s.summary = log_.summary();
   s.updates = log_.all_retained();
-  s.neighbour_demand.reserve(table_.entries().size());
-  for (const DemandEntry& entry : table_.entries()) {
-    s.neighbour_demand.emplace_back(entry.peer, entry.demand);
+  s.neighbour_demand.reserve(table_.neighbours().size());
+  for (const PeerSlot slot : table_.neighbours()) {
+    const DemandEntry& row = table_.row(slot);
+    s.neighbour_demand.emplace_back(row.peer, row.demand);
   }
   return s;
 }
@@ -452,12 +451,13 @@ void ReplicaEngine::restore(EngineSnapshot snapshot) {
   // Demand figures are stale by exactly the downtime; they order the
   // demand-hot-first catch-up until the first fresh adverts overwrite them.
   for (const auto& [peer, demand] : snapshot.neighbour_demand) {
-    table_.update(peer, demand);
+    const PeerSlot slot = table_.slot_of(peer);
+    if (slot != kNoSlot) table_.set_demand(slot, demand);
   }
 }
 
 // --------------------------------------------------------------------------
-// Dispatch and peer knowledge
+// Dispatch
 
 std::vector<Outbound> ReplicaEngine::handle(NodeId from, const Message& msg,
                                             SimTime now) {
@@ -477,59 +477,37 @@ std::vector<Outbound> ReplicaEngine::handle(NodeId from, Message&& msg,
 
 void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
                            std::vector<Outbound>& out) {
+  // The message's one peer-keyed search: every handler below reads `from`'s
+  // row and knowledge by slot.
+  const PeerSlot slot = seat(from);
   // Any message proves the sender and the link are alive (§4: the table
   // "tells us if this replica is available"). First contact after a `down`
-  // verdict re-promotes the peer: the tracker clears its failure run, so
-  // demand decay stops on the very next selection pass.
-  if (health_.enabled()) health_.record_contact(from, now);
+  // verdict re-promotes the peer: its failure run is cleared, so demand
+  // decay stops on the very next selection pass.
+  if (health_.enabled()) table_.record_contact(slot, now, health_);
   std::visit(
       [&](auto&& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, SessionRequest>) {
-          on_session_request(from, m, now, out);
+          on_session_request(from, m, out);
         } else if constexpr (std::is_same_v<T, SessionSummary>) {
-          on_session_summary(from, m, now, out);
+          on_session_summary(from, slot, m, now, out);
         } else if constexpr (std::is_same_v<T, SessionPush>) {
-          on_session_push(from, std::move(m), now, out);
+          on_session_push(from, slot, std::move(m), now, out);
         } else if constexpr (std::is_same_v<T, SessionReply>) {
-          on_session_reply(from, std::move(m), now, out);
+          on_session_reply(from, slot, std::move(m), now, out);
         } else if constexpr (std::is_same_v<T, FastOffer>) {
-          on_fast_offer(from, m, now, out);
+          on_fast_offer(from, slot, m, out);
         } else if constexpr (std::is_same_v<T, FastAck>) {
-          on_fast_ack(from, m, now, out);
+          on_fast_ack(from, slot, m, out);
         } else if constexpr (std::is_same_v<T, FastData>) {
-          on_fast_data(from, std::move(m), now, out);
+          on_fast_data(from, slot, std::move(m), now, out);
         } else {
-          on_demand_advert(from, m, now, out);
+          // Paper §4: adverts keep the neighbour's demand row current.
+          table_.set_demand(slot, m.demand);
         }
       },
       std::move(msg));
-}
-
-bool ReplicaEngine::peer_known_to_have_all(
-    NodeId peer, const std::vector<OfferedId>& gained) const {
-  const SummaryVector& known = neighbour_knowledge(peer);
-  return std::all_of(gained.begin(), gained.end(), [&](const OfferedId& u) {
-    return known.contains(u.id);
-  });
-}
-
-SummaryVector& ReplicaEngine::knowledge_for(NodeId peer) {
-  auto it = std::lower_bound(
-      peer_knowledge_.begin(), peer_knowledge_.end(), peer,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  if (it == peer_knowledge_.end() || it->first != peer) {
-    it = peer_knowledge_.emplace(it, peer, SummaryVector{});
-  }
-  return it->second;
-}
-
-const SummaryVector& ReplicaEngine::neighbour_knowledge(NodeId peer) const {
-  const auto it = std::lower_bound(
-      peer_knowledge_.begin(), peer_knowledge_.end(), peer,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  FASTCONS_ASSERT(it != peer_knowledge_.end() && it->first == peer);
-  return it->second;
 }
 
 }  // namespace fastcons

@@ -89,7 +89,7 @@ class ReplicaEngine {
  public:
   /// `seed` feeds the engine-local RNG (random partner selection); give
   /// every node a distinct stream.
-  ReplicaEngine(NodeId self, std::vector<NodeId> neighbours,
+  ReplicaEngine(NodeId self, const std::vector<NodeId>& neighbours,
                 ProtocolConfig config, std::uint64_t seed);
 
   ReplicaEngine(const ReplicaEngine&) = delete;
@@ -177,15 +177,16 @@ class ReplicaEngine {
   const SummaryVector& summary() const noexcept { return log_.summary(); }
   /// The neighbour demand table (paper §4).
   const DemandTable& demand_table() const noexcept { return table_; }
-  /// Per-neighbour health state machine (src/health); disabled (everything
-  /// `up`) unless ProtocolConfig::health.enabled.
+  /// The health thresholds and derivation (src/health) over the table's
+  /// rows; disabled (everything `up`) unless ProtocolConfig::health.enabled.
   const PeerHealthTracker& peer_health() const noexcept { return health_; }
+  /// Derived health of `peer` at `now`; `up` for a peer that is not a
+  /// neighbour.
+  PeerHealthView health_of(NodeId peer, SimTime now) const;
   /// Live runtimes report a failed connect attempt to `peer` here; repeated
   /// failures force the peer to at least `suspect` (no-op when health
   /// tracking is disabled — sim runtimes never call this).
-  void note_peer_failure(NodeId peer, SimTime now) {
-    if (health_.enabled()) health_.record_failure(peer, now);
-  }
+  void note_peer_failure(NodeId peer, SimTime now);
   /// Protocol statistics accumulated since construction.
   const EngineStats& stats() const noexcept { return stats_; }
   /// Wire-traffic counters accumulated since construction.
@@ -262,42 +263,32 @@ class ReplicaEngine {
   /// Discards payloads every neighbour is known to hold (auto_truncate).
   void maybe_auto_truncate();
 
-  bool peer_known_to_have_all(NodeId peer,
-                              const std::vector<OfferedId>& gained) const;
-
-  /// The knowledge summary for `peer`, created empty on first use (every
-  /// neighbour's is seated up front; only strangers are created here).
-  SummaryVector& knowledge_for(NodeId peer);
-  /// The knowledge summary for neighbour `peer`, which every neighbour has
-  /// (seat_peer_knowledge, add_overlay_neighbour); empty until the first
-  /// exchange with it.
-  const SummaryVector& neighbour_knowledge(NodeId peer) const;
-  /// Gives peer_knowledge_ exactly one empty entry per neighbour, reusing
-  /// the entries (and their summary buffers) it already holds.
-  void seat_peer_knowledge();
+  /// `peer`'s slot in table_ and knowledge_, seating a stranger with empty
+  /// knowledge on first contact. The engine seats peers only through here,
+  /// so knowledge_ always has one entry per table_ slot (asserted).
+  PeerSlot seat(NodeId peer);
 
   /// Builds an Outbound and records traffic counters.
   void send(std::vector<Outbound>& out, NodeId to, Message msg);
 
-  // Message handlers; all append their traffic to `out`. Payload-carrying
-  // messages (push/reply/data) arrive by value so their update vectors can
-  // be moved into the log.
-  void on_session_request(NodeId from, const SessionRequest& m, SimTime now,
+  // Message handlers; all append their traffic to `out`. `slot` is
+  // `from`'s, resolved once by handle. Payload-carrying messages
+  // (push/reply/data) arrive by value so their update vectors can be moved
+  // into the log.
+  void on_session_request(NodeId from, const SessionRequest& m,
                           std::vector<Outbound>& out);
-  void on_session_summary(NodeId from, const SessionSummary& m, SimTime now,
-                          std::vector<Outbound>& out);
-  void on_session_push(NodeId from, SessionPush m, SimTime now,
+  void on_session_summary(NodeId from, PeerSlot slot, const SessionSummary& m,
+                          SimTime now, std::vector<Outbound>& out);
+  void on_session_push(NodeId from, PeerSlot slot, SessionPush m, SimTime now,
                        std::vector<Outbound>& out);
-  void on_session_reply(NodeId from, SessionReply m, SimTime now,
-                        std::vector<Outbound>& out);
-  void on_fast_offer(NodeId from, const FastOffer& m, SimTime now,
+  void on_session_reply(NodeId from, PeerSlot slot, SessionReply m,
+                        SimTime now, std::vector<Outbound>& out);
+  void on_fast_offer(NodeId from, PeerSlot slot, const FastOffer& m,
                      std::vector<Outbound>& out);
-  void on_fast_ack(NodeId from, const FastAck& m, SimTime now,
+  void on_fast_ack(NodeId from, PeerSlot slot, const FastAck& m,
                    std::vector<Outbound>& out);
-  void on_fast_data(NodeId from, FastData m, SimTime now,
+  void on_fast_data(NodeId from, PeerSlot slot, FastData m, SimTime now,
                     std::vector<Outbound>& out);
-  void on_demand_advert(NodeId from, const DemandAdvert& m, SimTime now,
-                        std::vector<Outbound>& out);
 
   /// &health_ when tracking is enabled, nullptr otherwise — the disabled
   /// path hands policies/tables the exact health-blind overloads.
@@ -327,12 +318,11 @@ class ReplicaEngine {
   // keeps the vectors sorted for binary-search lookups.
   std::vector<std::pair<std::uint64_t, SessionState>> sessions_;  // by us
   std::vector<std::pair<std::uint64_t, OfferState>> offers_;      // by us
-  // What each neighbour is known to have (via summaries, offers, data);
-  // sorted by peer id. Every neighbour has an entry from construction or
-  // reset on, so a pooled engine's trials reuse the summary buffers; a
-  // stranger (a peer that is not, or not yet, a neighbour) gets one on
-  // first contact.
-  std::vector<std::pair<NodeId, SummaryVector>> peer_knowledge_;
+  // What each peer is known to have (via summaries, offers, data), by
+  // table_ slot. Every neighbour has one from construction or reset on, so
+  // a pooled engine's trials reuse the summary buffers; a stranger (a peer
+  // that is not, or not yet, a neighbour) gets one on first contact.
+  std::vector<SummaryVector> knowledge_;
   // after_gain's ranking of push targets, kept so ranking never allocates.
   std::vector<RankedPeer> push_order_;
 };

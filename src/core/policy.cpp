@@ -1,7 +1,5 @@
 #include "core/policy.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace fastcons {
@@ -10,27 +8,30 @@ NodeId RandomPolicy::choose(const DemandTable& table, SimTime now, Rng& rng,
                             const PeerHealthTracker* health) {
   // Count, draw, then walk to the drawn peer: the same draw and pick as
   // indexing a list of the eligible peers, without building the list.
-  const std::vector<DemandEntry>& entries = table.entries();
+  const std::vector<PeerSlot>& neighbours = table.neighbours();
   std::size_t count = 0;
-  for (const DemandEntry& entry : entries) {
-    if (DemandTable::eligible(entry.peer, now, health)) ++count;
+  for (const PeerSlot slot : neighbours) {
+    if (DemandTable::eligible(table.row(slot), now, health)) ++count;
   }
   if (count == 0) return kInvalidNode;
   std::size_t skip = rng.index(count);
-  if (count == entries.size()) return entries[skip].peer;  // none skipped
-  for (const DemandEntry& entry : entries) {
-    if (!DemandTable::eligible(entry.peer, now, health)) continue;
-    if (skip == 0) return entry.peer;
+  if (count == neighbours.size()) {
+    return table.row(neighbours[skip]).peer;  // none skipped
+  }
+  for (const PeerSlot slot : neighbours) {
+    const DemandEntry& row = table.row(slot);
+    if (!DemandTable::eligible(row, now, health)) continue;
+    if (skip == 0) return row.peer;
     --skip;
   }
   FASTCONS_ASSERT(false);
   return kInvalidNode;
 }
 
-bool DemandCyclePolicy::visit(NodeId peer) {
-  const auto it = std::lower_bound(visited_.begin(), visited_.end(), peer);
-  if (it != visited_.end() && *it == peer) return false;
-  visited_.insert(it, peer);
+bool DemandCyclePolicy::visit(PeerSlot slot) {
+  if (slot >= visited_.size()) visited_.resize(slot + 1, 0);
+  if (visited_[slot] != 0) return false;
+  visited_[slot] = 1;
   return true;
 }
 
@@ -44,10 +45,10 @@ NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
     table.by_demand_desc(now, health, order_);
     if (order_.empty()) return kInvalidNode;
     for (const RankedPeer& ranked : order_) {
-      if (visit(ranked.peer)) return ranked.peer;
+      if (visit(ranked.slot)) return ranked.peer;
     }
     visited_.clear();  // cycle exhausted; start over
-    visited_.push_back(order_.front().peer);
+    visit(order_.front().slot);
     return order_.front().peer;
   }
   // Static: freeze the order when the cycle begins; walk it to the end even
@@ -59,11 +60,10 @@ NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
       if (frozen_order_.empty()) return kInvalidNode;
     }
     for (const RankedPeer& ranked : frozen_order_) {
-      const NodeId peer = ranked.peer;
-      if (!visit(peer)) continue;
+      if (!visit(ranked.slot)) continue;
       // Skip silently if the peer went down after the order froze.
-      if (!DemandTable::eligible(peer, now, health)) continue;
-      return peer;
+      if (!DemandTable::eligible(table.row(ranked.slot), now, health)) continue;
+      return ranked.peer;
     }
     frozen_order_.clear();  // cycle exhausted; refreeze next attempt
   }

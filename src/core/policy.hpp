@@ -4,6 +4,7 @@
 #ifndef FASTCONS_CORE_POLICY_HPP
 #define FASTCONS_CORE_POLICY_HPP
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -63,13 +64,13 @@ class DemandCyclePolicy final : public PartnerPolicy {
   void reset() override;
 
  private:
-  /// Marks `peer` visited; false when it already was.
-  bool visit(NodeId peer);
+  /// Marks the peer in `slot` visited; false when it already was.
+  bool visit(PeerSlot slot);
 
   bool resort_each_pick_;
   // Buffers kept across picks and reset(), so a pick allocates nothing once
   // they have grown to the neighbour count.
-  std::vector<NodeId> visited_;           // sorted
+  std::vector<std::uint8_t> visited_;     // by table slot; 1 = visited
   std::vector<RankedPeer> order_;         // this pick's ranking (resort)
   std::vector<RankedPeer> frozen_order_;  // this cycle's ranking (static)
 };

@@ -4,62 +4,95 @@
 
 namespace fastcons {
 
-namespace {
-
-/// First index entry with key >= peer.
-auto index_lower_bound(const std::vector<std::pair<NodeId, std::uint32_t>>& index,
-                       NodeId peer) {
-  return std::lower_bound(
-      index.begin(), index.end(), peer,
-      [](const std::pair<NodeId, std::uint32_t>& e, NodeId p) {
-        return e.first < p;
-      });
-}
-
-}  // namespace
-
-DemandTable::DemandTable(std::vector<NodeId> neighbours) {
-  entries_.reserve(neighbours.size());
-  index_.reserve(neighbours.size());
-  for (const NodeId peer : neighbours) add_neighbour(peer);
+DemandTable::DemandTable(const std::vector<NodeId>& neighbours) {
+  rows_.reserve(neighbours.size());
+  neighbours_.reserve(neighbours.size());
+  by_peer_.reserve(neighbours.size());
+  for (const NodeId peer : neighbours) add_neighbour(seat(peer));
 }
 
 void DemandTable::reset(const std::vector<NodeId>& neighbours) {
-  entries_.clear();
-  index_.clear();
-  for (const NodeId peer : neighbours) add_neighbour(peer);
+  rows_.clear();
+  neighbours_.clear();
+  by_peer_.clear();
+  for (const NodeId peer : neighbours) add_neighbour(seat(peer));
 }
 
-const DemandEntry* DemandTable::find(NodeId peer) const {
-  const auto it = index_lower_bound(index_, peer);
-  if (it == index_.end() || it->first != peer) return nullptr;
-  return &entries_[it->second];
+std::size_t DemandTable::position(NodeId peer) const {
+  // Branch-free lower bound: the halving step compiles to a conditional
+  // move, so a search costs no mispredicted branches whichever peer sent
+  // the message.
+  const std::pair<NodeId, PeerSlot>* base = by_peer_.data();
+  std::size_t n = by_peer_.size();
+  if (n == 0) return 0;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half].first < peer ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - by_peer_.data()) +
+         (base->first < peer ? 1 : 0);
 }
 
-DemandEntry* DemandTable::find(NodeId peer) {
-  return const_cast<DemandEntry*>(
-      static_cast<const DemandTable*>(this)->find(peer));
+PeerSlot DemandTable::slot_of(NodeId peer) const {
+  const std::size_t i = position(peer);
+  return i < by_peer_.size() && by_peer_[i].first == peer ? by_peer_[i].second
+                                                           : kNoSlot;
 }
 
-void DemandTable::update(NodeId peer, double demand) {
-  if (DemandEntry* entry = find(peer)) entry->demand = demand;
+PeerSlot DemandTable::seat(NodeId peer) {
+  const std::size_t i = position(peer);
+  if (i < by_peer_.size() && by_peer_[i].first == peer) {
+    return by_peer_[i].second;
+  }
+  const auto slot = static_cast<PeerSlot>(rows_.size());
+  by_peer_.insert(by_peer_.begin() + static_cast<std::ptrdiff_t>(i),
+                  {peer, slot});
+  rows_.push_back(DemandEntry{peer, false, 0.0, HealthStamps{}});
+  return slot;
+}
+
+void DemandTable::add_neighbour(PeerSlot slot, SimTime now) {
+  DemandEntry& row = rows_[slot];
+  if (row.neighbour) return;
+  row.neighbour = true;
+  row.health = HealthStamps{now};
+  neighbours_.push_back(slot);
+}
+
+void DemandTable::set_demand(PeerSlot slot, double demand) {
+  DemandEntry& row = rows_[slot];
+  if (row.neighbour) row.demand = demand;
 }
 
 std::optional<double> DemandTable::demand_of(NodeId peer) const {
-  const DemandEntry* entry = find(peer);
-  if (entry == nullptr) return std::nullopt;
-  return entry->demand;
+  const PeerSlot slot = slot_of(peer);
+  if (slot == kNoSlot || !rows_[slot].neighbour) return std::nullopt;
+  return rows_[slot].demand;
+}
+
+PeerHealth DemandTable::record_contact(PeerSlot slot, SimTime now,
+                                       const PeerHealthTracker& health) {
+  DemandEntry& row = rows_[slot];
+  if (!row.neighbour) return PeerHealth::up;
+  return health.record_contact(row.health, now);
+}
+
+void DemandTable::record_failure(PeerSlot slot, SimTime now) {
+  DemandEntry& row = rows_[slot];
+  if (row.neighbour) PeerHealthTracker::record_failure(row.health, now);
 }
 
 void DemandTable::by_demand_desc(SimTime now, const PeerHealthTracker* health,
                                  std::vector<RankedPeer>& ranked) const {
   if (health != nullptr && !health->enabled()) health = nullptr;
   ranked.clear();
-  for (const DemandEntry& entry : entries_) {
-    if (!eligible(entry.peer, now, health)) continue;
+  for (const PeerSlot slot : neighbours_) {
+    const DemandEntry& row = rows_[slot];
+    if (!eligible(row, now, health)) continue;
     const double factor =
-        health == nullptr ? 1.0 : health->demand_factor(entry.peer, now);
-    ranked.push_back(RankedPeer{entry.demand * factor, entry.peer});
+        health == nullptr ? 1.0 : health->demand_factor(row.health, now);
+    ranked.push_back(RankedPeer{row.demand * factor, row.peer, slot});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedPeer& a, const RankedPeer& b) {
@@ -76,23 +109,6 @@ std::vector<NodeId> DemandTable::by_demand_desc(
   std::transform(ranked.begin(), ranked.end(), order.begin(),
                  [](const RankedPeer& r) { return r.peer; });
   return order;
-}
-
-std::vector<NodeId> DemandTable::alive(SimTime now,
-                                       const PeerHealthTracker* health) const {
-  std::vector<NodeId> result;
-  result.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (eligible(entry.peer, now, health)) result.push_back(entry.peer);
-  }
-  return result;
-}
-
-void DemandTable::add_neighbour(NodeId peer) {
-  const auto it = index_lower_bound(index_, peer);
-  if (it != index_.end() && it->first == peer) return;
-  index_.insert(it, {peer, static_cast<std::uint32_t>(entries_.size())});
-  entries_.push_back(DemandEntry{peer, 0.0});
 }
 
 }  // namespace fastcons

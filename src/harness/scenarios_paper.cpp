@@ -41,7 +41,7 @@ TrialResult sec2_trial(const SweepPoint&, std::uint64_t, TrialContext& ctx) {
   }
   DemandTable& b_table = *pooled.b_table;
   for (const NodeId peer : {0u, 2u, 3u, 4u}) {
-    b_table.update(peer, demands[peer]);
+    b_table.set_demand(b_table.slot_of(peer), demands[peer]);
   }
   const auto order = b_table.by_demand_desc(0.0);
   const bool order_ok = order == std::vector<NodeId>{3, 4, 0, 2};

@@ -13,49 +13,10 @@ std::string_view peer_health_name(PeerHealth s) noexcept {
   return "?";
 }
 
-PeerHealthTracker::PeerHealthTracker(const std::vector<NodeId>& peers,
-                                     const HealthConfig& config, SimTime now) {
-  reset(peers, config, now);
-}
-
-void PeerHealthTracker::reset(const std::vector<NodeId>& peers,
-                              const HealthConfig& config, SimTime now) {
-  reset(config);
-  entries_.reserve(peers.size());
-  for (const NodeId peer : peers) add_peer(peer, now);
-}
-
-void PeerHealthTracker::reset(const HealthConfig& config) {
-  config_ = config;
-  entries_.clear();
-  recoveries_ = 0;
-}
-
-void PeerHealthTracker::add_peer(NodeId peer, SimTime now) {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), peer,
-      [](const Entry& e, NodeId p) { return e.peer < p; });
-  if (it != entries_.end() && it->peer == peer) return;
-  entries_.insert(it, Entry{peer, now, 0.0, 0});
-}
-
-const PeerHealthTracker::Entry* PeerHealthTracker::find(NodeId peer) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), peer,
-      [](const Entry& e, NodeId p) { return e.peer < p; });
-  if (it == entries_.end() || it->peer != peer) return nullptr;
-  return &*it;
-}
-
-PeerHealthTracker::Entry* PeerHealthTracker::find(NodeId peer) {
-  return const_cast<Entry*>(
-      static_cast<const PeerHealthTracker*>(this)->find(peer));
-}
-
-PeerHealth PeerHealthTracker::derive(const Entry& entry,
+PeerHealth PeerHealthTracker::derive(const HealthStamps& stamps,
                                      SimTime now) const noexcept {
   if (!config_.enabled) return PeerHealth::up;
-  const SimTime silence = now - entry.last_heard;
+  const SimTime silence = now - stamps.last_heard;
   if (config_.down_after > 0.0 && silence >= config_.down_after) {
     return PeerHealth::down;
   }
@@ -63,53 +24,43 @@ PeerHealth PeerHealthTracker::derive(const Entry& entry,
     return PeerHealth::suspect;
   }
   if (config_.failure_threshold > 0 &&
-      entry.failures >= config_.failure_threshold) {
+      stamps.failures >= config_.failure_threshold) {
     return PeerHealth::suspect;
   }
   return PeerHealth::up;
 }
 
-SimTime PeerHealthTracker::derive_suspect_since(const Entry& entry,
+SimTime PeerHealthTracker::derive_suspect_since(const HealthStamps& stamps,
                                                 SimTime now) const noexcept {
-  if (derive(entry, now) == PeerHealth::up) return 0.0;
+  if (derive(stamps, now) == PeerHealth::up) return 0.0;
   SimTime since = now;
   if (config_.suspect_after > 0.0 &&
-      now - entry.last_heard >= config_.suspect_after) {
-    since = std::min(since, entry.last_heard + config_.suspect_after);
+      now - stamps.last_heard >= config_.suspect_after) {
+    since = std::min(since, stamps.last_heard + config_.suspect_after);
   }
   if (config_.failure_threshold > 0 &&
-      entry.failures >= config_.failure_threshold) {
-    since = std::min(since, entry.first_failure);
+      stamps.failures >= config_.failure_threshold) {
+    since = std::min(since, stamps.first_failure);
   }
   return since;
 }
 
-PeerHealth PeerHealthTracker::record_contact(NodeId peer, SimTime now) {
-  Entry* entry = find(peer);
-  if (entry == nullptr) return PeerHealth::up;
-  const PeerHealth before = derive(*entry, now);
-  entry->last_heard = now;
-  entry->failures = 0;
-  entry->first_failure = 0.0;
-  if (before == PeerHealth::down) ++recoveries_;
+PeerHealth PeerHealthTracker::record_contact(HealthStamps& stamps,
+                                             SimTime now) const noexcept {
+  const PeerHealth before = derive(stamps, now);
+  stamps = HealthStamps{now};
   return before;
 }
 
-void PeerHealthTracker::record_failure(NodeId peer, SimTime now) {
-  Entry* entry = find(peer);
-  if (entry == nullptr) return;
-  if (entry->failures == 0) entry->first_failure = now;
-  ++entry->failures;
+void PeerHealthTracker::record_failure(HealthStamps& stamps,
+                                       SimTime now) noexcept {
+  if (stamps.failures == 0) stamps.first_failure = now;
+  ++stamps.failures;
 }
 
-PeerHealth PeerHealthTracker::state(NodeId peer, SimTime now) const {
-  const Entry* entry = find(peer);
-  if (entry == nullptr) return PeerHealth::up;
-  return derive(*entry, now);
-}
-
-double PeerHealthTracker::demand_factor(NodeId peer, SimTime now) const {
-  switch (state(peer, now)) {
+double PeerHealthTracker::demand_factor(const HealthStamps& stamps,
+                                        SimTime now) const noexcept {
+  switch (derive(stamps, now)) {
     case PeerHealth::up: return 1.0;
     case PeerHealth::suspect: return config_.suspect_demand_factor;
     case PeerHealth::down: return 0.0;
@@ -117,29 +68,15 @@ double PeerHealthTracker::demand_factor(NodeId peer, SimTime now) const {
   return 1.0;
 }
 
-PeerHealthView PeerHealthTracker::view(NodeId peer, SimTime now) const {
+PeerHealthView PeerHealthTracker::view(NodeId peer, const HealthStamps& stamps,
+                                       SimTime now) const noexcept {
   PeerHealthView v;
   v.peer = peer;
-  const Entry* entry = find(peer);
-  if (entry == nullptr) return v;
-  v.state = derive(*entry, now);
-  v.last_heard = entry->last_heard;
-  v.suspect_since = derive_suspect_since(*entry, now);
-  v.consecutive_failures = entry->failures;
+  v.state = derive(stamps, now);
+  v.last_heard = stamps.last_heard;
+  v.suspect_since = derive_suspect_since(stamps, now);
+  v.consecutive_failures = stamps.failures;
   return v;
-}
-
-std::vector<PeerHealthView> PeerHealthTracker::views(SimTime now) const {
-  std::vector<PeerHealthView> all;
-  all.reserve(entries_.size());
-  for (const Entry& entry : entries_) all.push_back(view(entry.peer, now));
-  return all;
-}
-
-bool PeerHealthTracker::all_up(SimTime now) const {
-  return std::all_of(entries_.begin(), entries_.end(), [&](const Entry& e) {
-    return derive(e, now) == PeerHealth::up;
-  });
 }
 
 }  // namespace fastcons

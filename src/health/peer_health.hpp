@@ -1,23 +1,25 @@
-// Peer-health tracking: a per-neighbour up -> suspect -> down state machine
+// Peer-health derivation: a per-neighbour up -> suspect -> down state machine
 // driven purely by message recency (and, on the live path, connect
 // failures). The paper's demand adverts double as a liveness signal (§4:
 // the table "tells us if this replica is available"); this layer turns that
 // signal into graded state so push-target selection can *decay* demand for
 // silent peers instead of flipping them alive/dead at one threshold.
 //
+// The evidence itself (HealthStamps) lives in each neighbour's row of the
+// demand table (src/demand), the engine's one per-neighbour record; this
+// layer only owns the thresholds and the derivation.
+//
 // Determinism contract (this directory is scanned by the fastcons_lint
-// determinism rule): the tracker never reads a clock, never draws
-// randomness, and derives state from (last_heard, failures, now) at query
-// time — no background transitions, no mutation on read. With
-// HealthConfig::enabled == false every query returns `up` and every factor
-// is 1.0, so default-off configurations are bit-identical to a build
-// without this layer.
+// determinism rule): nothing here reads a clock or draws randomness, and
+// state is derived from (last_heard, failures, now) at query time — no
+// background transitions, no mutation on read. With HealthConfig::enabled
+// == false every derivation is `up` and every factor is 1.0, so default-off
+// configurations are bit-identical to a build without this layer.
 #ifndef FASTCONS_HEALTH_PEER_HEALTH_HPP
 #define FASTCONS_HEALTH_PEER_HEALTH_HPP
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -55,6 +57,14 @@ struct HealthConfig {
   std::uint32_t failure_threshold = 3;
 };
 
+/// One peer's health evidence: what the derivation reads. A peer first
+/// tracked at `now` starts as HealthStamps{now}.
+struct HealthStamps {
+  SimTime last_heard = 0.0;
+  SimTime first_failure = 0.0;  ///< start of the consecutive-failure run
+  std::uint32_t failures = 0;   ///< consecutive connect failures
+};
+
 /// Snapshot of one peer's derived health, for introspection (NetStats
 /// reports these fields so operators and the soak harness read the same
 /// values the engine acts on).
@@ -69,73 +79,40 @@ struct PeerHealthView {
   std::uint32_t consecutive_failures = 0;
 };
 
-/// Draw-free health tracker for one replica's neighbour set.
+/// The health thresholds and the draw-free derivation over HealthStamps.
 class PeerHealthTracker {
  public:
   PeerHealthTracker() = default;
-  PeerHealthTracker(const std::vector<NodeId>& peers, const HealthConfig& config,
-                    SimTime now);
-
-  /// Reinitialises as if freshly constructed (pooled-engine reset path),
-  /// reusing entry storage.
-  void reset(const std::vector<NodeId>& peers, const HealthConfig& config,
-             SimTime now);
-
-  /// Same, starting empty; callers add peers one by one (the engine feeds
-  /// it from the demand table's entries without building a temporary list).
-  void reset(const HealthConfig& config);
+  explicit PeerHealthTracker(const HealthConfig& config) : config_(config) {}
 
   bool enabled() const noexcept { return config_.enabled; }
   const HealthConfig& config() const noexcept { return config_; }
 
-  /// Adds a peer discovered after construction (island bridges). No-op if
-  /// already tracked.
-  void add_peer(NodeId peer, SimTime now);
-
   /// Any received message proves the peer is up: refreshes last_heard and
   /// clears the consecutive-failure run. Returns the state the peer was in
   /// *before* this contact, so callers can observe re-promotions (a `down`
-  /// return means this contact revived the peer). Unknown peers return `up`
-  /// and are ignored.
-  PeerHealth record_contact(NodeId peer, SimTime now);
+  /// return means this contact revived the peer).
+  PeerHealth record_contact(HealthStamps& stamps, SimTime now) const noexcept;
 
-  /// Live path: a connect attempt to `peer` failed.
-  void record_failure(NodeId peer, SimTime now);
+  /// Live path: a connect attempt to the peer failed.
+  static void record_failure(HealthStamps& stamps, SimTime now) noexcept;
 
-  /// Derived state at `now`. Unknown peers (and disabled trackers) are `up`.
-  PeerHealth state(NodeId peer, SimTime now) const;
+  /// Derived state at `now`; always `up` when disabled.
+  PeerHealth derive(const HealthStamps& stamps, SimTime now) const noexcept;
 
   /// Demand multiplier for push-target selection: 1.0 (up),
   /// suspect_demand_factor (suspect), 0.0 (down).
-  double demand_factor(NodeId peer, SimTime now) const;
+  double demand_factor(const HealthStamps& stamps, SimTime now) const noexcept;
 
-  /// Full derived snapshot for one peer / all peers (peer-id order).
-  PeerHealthView view(NodeId peer, SimTime now) const;
-  std::vector<PeerHealthView> views(SimTime now) const;
-
-  /// True when every tracked peer derives `up` at `now`.
-  bool all_up(SimTime now) const;
-
-  /// Count of down -> up re-promotions observed via record_contact since
-  /// construction/reset (the soak harness' recovery invariant).
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
+  /// Full derived snapshot of `peer`, whose evidence is `stamps`.
+  PeerHealthView view(NodeId peer, const HealthStamps& stamps,
+                      SimTime now) const noexcept;
 
  private:
-  struct Entry {
-    NodeId peer = kInvalidNode;
-    SimTime last_heard = 0.0;
-    SimTime first_failure = 0.0;  ///< start of the consecutive-failure run
-    std::uint32_t failures = 0;   ///< consecutive connect failures
-  };
-
-  const Entry* find(NodeId peer) const;
-  Entry* find(NodeId peer);
-  PeerHealth derive(const Entry& entry, SimTime now) const noexcept;
-  SimTime derive_suspect_since(const Entry& entry, SimTime now) const noexcept;
+  SimTime derive_suspect_since(const HealthStamps& stamps,
+                               SimTime now) const noexcept;
 
   HealthConfig config_;
-  std::vector<Entry> entries_;  // sorted by peer id
-  std::uint64_t recoveries_ = 0;
 };
 
 }  // namespace fastcons

@@ -66,15 +66,12 @@ void ReplicaServer::start() {
   }
   // No loop thread runs, so this thread is the counters' one writer here; a
   // concurrent net_stats() reads only the atomics being reset. Link and
-  // inbound counters reset together, and connections left from an earlier
-  // lifetime are closed (inbound here, outbound below), so one NetStats
-  // covers one lifetime and no earlier lifetime's frame reaches this
-  // engine.
+  // inbound counters reset together, and the previous loop closed every
+  // connection on exit, so one NetStats covers one lifetime and no earlier
+  // lifetime's frame reaches this engine.
   inbound_totals_ = InboundTotals{};
-  inbound_.clear();
   const auto now = std::chrono::steady_clock::now();
   for (auto& [id, link] : peer_links_) {
-    link.connection.close();
     link.pending.clear();
     link.pending_bytes = 0;
     link.staged = false;
@@ -282,7 +279,7 @@ NetStats ReplicaServer::net_stats() const {
   if (engine_ == nullptr) return out;
   const double now = now_units();
   for (PeerNetStats& peer : out.peers) {
-    const PeerHealthView view = engine_->peer_health().view(peer.peer, now);
+    const PeerHealthView view = engine_->health_of(peer.peer, now);
     peer.health = view.state;
     peer.health_last_heard_units = view.last_heard;
     peer.health_suspect_since_units = view.suspect_since;
@@ -365,7 +362,7 @@ PeerHealth ReplicaServer::peer_health_state(NodeId peer, bool note_failure) {
   if (engine_ == nullptr) return PeerHealth::up;
   const double now = now_units();
   if (note_failure) engine_->note_peer_failure(peer, now);
-  return engine_->peer_health().state(peer, now);
+  return engine_->health_of(peer, now).state;
 }
 
 void ReplicaServer::schedule_reconnect(PeerLink& link) {
@@ -692,6 +689,14 @@ void ReplicaServer::loop() {
       snapshot = engine_->snapshot();
     }
     store_->write_checkpoint(snapshot);
+  }
+  // Peers see the stop at once, not at the next start or the destructor.
+  // The listener stays bound, so a restart keeps the port.
+  inbound_.clear();
+  for (auto& [id, link] : peer_links_) {
+    link.connection.close();
+    link.stats.connecting.set(false);
+    link.stats.connected.set(false);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/construction_cost.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace fastcons {
 
@@ -37,9 +38,9 @@ WorkloadResult run_workload(Graph topology,
   while (write_at < workload.duration) {
     const std::size_t key_index = write_index % workload.keys;
     const auto writer = static_cast<NodeId>(rng.index(net.size()));
-    const std::string key = "key" + std::to_string(key_index);
+    const std::string key = numbered("key", key_index);
     const UpdateId id = net.schedule_write(
-        writer, key, "v" + std::to_string(write_index), write_at);
+        writer, key, numbered("v", write_index), write_at);
     history[key_index].emplace_back(write_at, id);
     ++write_index;
     write_at += rng.exponential(workload.write_interval);

@@ -10,6 +10,12 @@
 namespace fastcons {
 namespace {
 
+// Records `peer`'s advert as the engine does: resolve the peer (seating a
+// stranger), then write its row.
+void advertise(DemandTable& table, NodeId peer, double demand) {
+  table.set_demand(table.seat(peer), demand);
+}
+
 TEST(StaticDemandTest, ReturnsGivenValues) {
   const StaticDemand d({4.0, 6.0, 3.0, 8.0, 7.0});  // paper §2's table
   EXPECT_EQ(d.size(), 5u);
@@ -158,7 +164,7 @@ TEST(DemandSnapshotTest, SamplesEveryNode) {
 
 TEST(DemandTableTest, UpdateAndQuery) {
   DemandTable table({1, 2, 3});
-  table.update(2, 9.0);
+  advertise(table, 2, 9.0);
   EXPECT_EQ(table.demand_of(2), 9.0);
   EXPECT_EQ(table.demand_of(1), 0.0);
   EXPECT_FALSE(table.demand_of(99).has_value());
@@ -166,16 +172,16 @@ TEST(DemandTableTest, UpdateAndQuery) {
 
 TEST(DemandTableTest, UnknownPeerUpdateIgnored) {
   DemandTable table({1});
-  table.update(42, 5.0);
+  advertise(table, 42, 5.0);
   EXPECT_FALSE(table.demand_of(42).has_value());
 }
 
 TEST(DemandTableTest, OrderByDemandWithIdTieBreak) {
   DemandTable table({1, 2, 3, 4});
-  table.update(1, 5.0);
-  table.update(2, 8.0);
-  table.update(3, 5.0);
-  table.update(4, 1.0);
+  advertise(table, 1, 5.0);
+  advertise(table, 2, 8.0);
+  advertise(table, 3, 5.0);
+  advertise(table, 4, 1.0);
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{2, 1, 3, 4}));
 }
 
@@ -183,10 +189,10 @@ TEST(DemandTableTest, PaperSection2Ordering) {
   // B's neighbours A(4), C(3), D(8), E(7) must order D, E, A, C — the
   // paper's "best case" session order.
   DemandTable table({0 /*A*/, 2 /*C*/, 3 /*D*/, 4 /*E*/});
-  table.update(0, 4.0);
-  table.update(2, 3.0);
-  table.update(3, 8.0);
-  table.update(4, 7.0);
+  advertise(table, 0, 4.0);
+  advertise(table, 2, 3.0);
+  advertise(table, 3, 8.0);
+  advertise(table, 4, 7.0);
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{3, 4, 0, 2}));
 }
 
@@ -199,63 +205,107 @@ HealthConfig one_unit_health() {
 }
 
 TEST(DemandTableTest, LivenessWindowExpiresSilentPeers) {
-  // The health tracker's down threshold is the liveness window: a peer
-  // silent for down_after leaves partner choice until it is heard again.
-  PeerHealthTracker health({1, 2}, one_unit_health(), 0.0);
+  // The health down threshold is the liveness window: a peer silent for
+  // down_after leaves partner choice until it is heard again.
+  const PeerHealthTracker health(one_unit_health());
   DemandTable table({1, 2});
-  table.update(1, 5.0);
-  table.update(2, 3.0);
-  EXPECT_TRUE(DemandTable::eligible(1, 0.5, &health));
-  EXPECT_TRUE(DemandTable::eligible(1, 0.99, &health));
-  EXPECT_FALSE(DemandTable::eligible(1, 1.0, &health));  // boundary is down
-  health.record_contact(1, 1.5);
-  EXPECT_TRUE(DemandTable::eligible(1, 2.0, &health));
-  EXPECT_FALSE(DemandTable::eligible(2, 2.0, &health));
+  advertise(table, 1, 5.0);
+  advertise(table, 2, 3.0);
+  const DemandEntry& one = table.row(table.slot_of(1));
+  const DemandEntry& two = table.row(table.slot_of(2));
+  EXPECT_TRUE(DemandTable::eligible(one, 0.5, &health));
+  EXPECT_TRUE(DemandTable::eligible(one, 0.99, &health));
+  EXPECT_FALSE(DemandTable::eligible(one, 1.0, &health));  // boundary is down
+  table.record_contact(table.slot_of(1), 1.5, health);
+  EXPECT_TRUE(DemandTable::eligible(one, 2.0, &health));
+  EXPECT_FALSE(DemandTable::eligible(two, 2.0, &health));
   EXPECT_EQ(table.by_demand_desc(2.0, &health), (std::vector<NodeId>{1}));
-  EXPECT_EQ(table.alive(2.0, &health), (std::vector<NodeId>{1}));
 }
 
 TEST(DemandTableTest, DisabledLivenessKeepsEveryoneAlive) {
-  const PeerHealthTracker disabled({1}, HealthConfig{}, 0.0);
+  const PeerHealthTracker disabled(HealthConfig{});
   DemandTable table({1});
-  EXPECT_TRUE(DemandTable::eligible(1, 1e9, &disabled));
-  EXPECT_TRUE(DemandTable::eligible(1, 1e9, nullptr));
-  EXPECT_EQ(table.alive(1e9, &disabled), (std::vector<NodeId>{1}));
-  EXPECT_EQ(table.alive(1e9), (std::vector<NodeId>{1}));
+  const DemandEntry& one = table.row(table.slot_of(1));
+  EXPECT_TRUE(DemandTable::eligible(one, 1e9, &disabled));
+  EXPECT_TRUE(DemandTable::eligible(one, 1e9, nullptr));
+  EXPECT_EQ(table.by_demand_desc(1e9, &disabled), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.by_demand_desc(1e9), (std::vector<NodeId>{1}));
 }
 
 TEST(DemandTableTest, TouchDoesNotChangeDemand) {
-  // Contact and decay live in the tracker: ranking a suspect peer by its
-  // decayed demand, and later hearing from it, leave the stored advert as is.
-  PeerHealthTracker health({1}, one_unit_health(), 0.0);
+  // Contact and decay are health's: ranking a suspect peer by its decayed
+  // demand, and later hearing from it, leave the stored advert as is.
+  const PeerHealthTracker health(one_unit_health());
   DemandTable table({1});
-  table.update(1, 7.0);
-  ASSERT_EQ(health.state(1, 0.7), PeerHealth::suspect);
+  advertise(table, 1, 7.0);
+  const PeerSlot slot = table.slot_of(1);
+  ASSERT_EQ(health.derive(table.row(slot).health, 0.7), PeerHealth::suspect);
   std::vector<RankedPeer> ranked;
   table.by_demand_desc(0.7, &health, ranked);
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_DOUBLE_EQ(ranked[0].demand, 7.0 * health.config().suspect_demand_factor);
+  EXPECT_EQ(ranked[0].slot, slot);
   EXPECT_EQ(table.demand_of(1), 7.0);
-  health.record_contact(1, 10.0);
+  table.record_contact(slot, 10.0, health);
   EXPECT_EQ(table.demand_of(1), 7.0);
-  EXPECT_TRUE(DemandTable::eligible(1, 10.5, &health));
+  EXPECT_TRUE(DemandTable::eligible(table.row(slot), 10.5, &health));
 }
 
 TEST(DemandTableTest, AddNeighbourIsIdempotent) {
   DemandTable table({1});
-  table.add_neighbour(5);
-  table.add_neighbour(5);
-  EXPECT_EQ(table.entries().size(), 2u);
+  table.add_neighbour(table.seat(5));
+  table.add_neighbour(table.seat(5));
+  EXPECT_EQ(table.neighbours().size(), 2u);
+  EXPECT_EQ(table.slots(), 2u);
   EXPECT_TRUE(table.demand_of(5).has_value());
 }
 
 TEST(DemandTableTest, IsAliveUnknownPeer) {
-  // A peer the tracker knows but the table does not is never offered.
-  const PeerHealthTracker health({1, 9}, one_unit_health(), 0.0);
+  // A stranger holds a slot but is no neighbour: its adverts and contacts
+  // are ignored and it is never offered.
+  const PeerHealthTracker health(one_unit_health());
   DemandTable table({1});
+  const PeerSlot stranger = table.seat(9);
+  EXPECT_NE(stranger, kNoSlot);
+  EXPECT_EQ(table.seat(9), stranger);
+  advertise(table, 9, 50.0);
   EXPECT_FALSE(table.demand_of(9).has_value());
-  EXPECT_EQ(table.alive(0.0, &health), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.record_contact(stranger, 5.0, health), PeerHealth::up);
   EXPECT_EQ(table.by_demand_desc(0.0, &health), (std::vector<NodeId>{1}));
+  EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{1}));
+}
+
+TEST(DemandTableTest, PromotedStrangerKeepsSlotAndJoinsLast) {
+  // A stranger promoted to neighbour keeps its (older) slot but takes the
+  // last place in registration order, with demand 0 and health stamps
+  // starting at the promotion.
+  const PeerHealthTracker health(one_unit_health());
+  DemandTable table({4});
+  const PeerSlot stranger = table.seat(2);
+  advertise(table, 2, 9.0);  // ignored while a stranger
+  table.add_neighbour(table.seat(7), 0.0);
+  table.add_neighbour(table.seat(2), 3.0);
+  EXPECT_EQ(table.slot_of(2), stranger);
+  ASSERT_EQ(table.neighbours().size(), 3u);
+  EXPECT_EQ(table.row(table.neighbours()[0]).peer, 4u);
+  EXPECT_EQ(table.row(table.neighbours()[1]).peer, 7u);
+  EXPECT_EQ(table.row(table.neighbours()[2]).peer, 2u);
+  EXPECT_EQ(table.demand_of(2), 0.0);
+  EXPECT_EQ(health.derive(table.row(stranger).health, 3.4), PeerHealth::up);
+  EXPECT_EQ(health.derive(table.row(stranger).health, 4.0), PeerHealth::down);
+}
+
+TEST(DemandTableTest, ResetReseatsNeighboursInOrder) {
+  DemandTable table({3, 1});
+  table.seat(8);
+  advertise(table, 3, 2.0);
+  table.reset({5, 3, 5});
+  EXPECT_EQ(table.slots(), 2u);
+  EXPECT_EQ(table.slot_of(5), 0u);
+  EXPECT_EQ(table.slot_of(3), 1u);
+  EXPECT_EQ(table.slot_of(1), kNoSlot);
+  EXPECT_EQ(table.slot_of(8), kNoSlot);
+  EXPECT_EQ(table.demand_of(3), 0.0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // these happen (reordering, retries, crashed peers, buggy peers).
 #include <gtest/gtest.h>
 
+#include "common/text.hpp"
 #include "core/engine.hpp"
 
 namespace fastcons {
@@ -151,7 +152,7 @@ TEST(EngineAdversarialTest, MessagesFromUnknownPeersAreHarmless) {
   EXPECT_FALSE(e.demand_table().demand_of(99).has_value());
   e.handle(99, Message{SessionRequest{1}}, 0.0);
   e.handle(99, Message{FastOffer{2, {OfferedId{UpdateId{9, 1}, 0.0}}}}, 0.0);
-  EXPECT_EQ(e.demand_table().entries().size(), 1u);
+  EXPECT_EQ(e.demand_table().neighbours().size(), 1u);
 }
 
 TEST(EngineAdversarialTest, SelfDemandNeverTargetsSelf) {
@@ -166,7 +167,7 @@ TEST(EngineAdversarialTest, SelfDemandNeverTargetsSelf) {
       EXPECT_NE(out.to, 0u);
     }
     for (const Outbound& out :
-         e.local_write("k" + std::to_string(i), "v", static_cast<double>(i))) {
+         e.local_write(numbered("k", i), "v", static_cast<double>(i))) {
       EXPECT_NE(out.to, 0u);
     }
   }

@@ -1,5 +1,6 @@
 // Step-by-step protocol tests: two or three ReplicaEngines driven by hand,
 // with every message routed manually so each paper step is observable.
+#include "common/text.hpp"
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -401,9 +402,9 @@ TEST(EngineTest, AnyMessageRefreshesLiveness) {
   cfg.health.enabled = true;
   ReplicaEngine b(1, {2}, cfg, 1);
   b.prime_neighbour_demand(2, 5.0, 0.0);
-  EXPECT_TRUE(b.demand_table().alive(5.0, &b.peer_health()).empty());
+  EXPECT_TRUE(b.demand_table().by_demand_desc(5.0, &b.peer_health()).empty());
   b.handle(2, Message{SessionRequest{99}}, 5.0);
-  EXPECT_EQ(b.demand_table().alive(5.5, &b.peer_health()),
+  EXPECT_EQ(b.demand_table().by_demand_desc(5.5, &b.peer_health()),
             (std::vector<NodeId>{2}));
   EXPECT_EQ(b.demand_table().demand_of(2), 5.0);
 }
@@ -414,8 +415,8 @@ TEST(EngineTest, AdvertTimerReachesDownNeighbours) {
   ProtocolConfig cfg = fast_config();
   cfg.health.enabled = true;
   ReplicaEngine b(1, {2, 3}, cfg, 1);
-  ASSERT_EQ(b.peer_health().state(2, 100.0), PeerHealth::down);
-  ASSERT_EQ(b.peer_health().state(3, 100.0), PeerHealth::down);
+  ASSERT_EQ(b.health_of(2, 100.0).state, PeerHealth::down);
+  ASSERT_EQ(b.health_of(3, 100.0).state, PeerHealth::down);
   EXPECT_EQ(b.on_advert_timer(100.0).size(), 2u);
 }
 
@@ -423,8 +424,8 @@ TEST(EngineTest, AdvertTimerWithoutLivenessBroadcastsToAll) {
   // Long silence with health disabled: both peers stay up, and each hears
   // one advert in registration order.
   ReplicaEngine b(1, {3, 2}, fast_config(), 1);
-  EXPECT_EQ(b.peer_health().state(2, 100.0), PeerHealth::up);
-  EXPECT_EQ(b.peer_health().state(3, 100.0), PeerHealth::up);
+  EXPECT_EQ(b.health_of(2, 100.0).state, PeerHealth::up);
+  EXPECT_EQ(b.health_of(3, 100.0).state, PeerHealth::up);
   const auto out = b.on_advert_timer(100.0);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].to, 3u);
@@ -439,6 +440,34 @@ TEST(EngineTest, OverlayNeighbourBecomesEligibleTarget) {
   const auto out = b.local_write("k", "v", 0.0);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 9u);
+}
+
+TEST(EngineTest, PromotedStrangerKeepsKnowledgeAndJoinsAdvertsLast) {
+  // Stranger 3 offers an update, so the engine learns 3 has it. Promoted
+  // after neighbour 7, it keeps that knowledge (no offer of what it is known
+  // to have) and hears adverts after 7, although its slot is older.
+  ReplicaEngine b(1, {5}, fast_config(), 1);
+  b.set_own_demand(2.0);
+  const UpdateId id{9, 1};
+  b.handle(3, Message{FastOffer{1, {OfferedId{id, 0.0}}}}, 0.0);
+  EXPECT_FALSE(b.demand_table().demand_of(3).has_value());
+  b.add_overlay_neighbour(7, 0.0);
+  b.add_overlay_neighbour(3, 0.0);
+  b.prime_neighbour_demand(3, 50.0, 0.0);
+
+  const auto adverts = b.on_advert_timer(0.0);
+  ASSERT_EQ(adverts.size(), 3u);
+  EXPECT_EQ(adverts[0].to, 5u);
+  EXPECT_EQ(adverts[1].to, 7u);
+  EXPECT_EQ(adverts[2].to, 3u);
+
+  // The update arrives from neighbour 5: 3 is the only peer whose demand
+  // clears ours, and it is known to hold the update already.
+  FastData data;
+  data.offer_id = 2;
+  data.updates.push_back(Update{id, 0.0, "k", "v"});
+  EXPECT_TRUE(b.handle(5, Message{std::move(data)}, 0.1).empty());
+  EXPECT_EQ(b.read("k"), "v");
 }
 
 TEST(EngineTest, DeliveryHookFiresOncePerUpdate) {
@@ -510,8 +539,8 @@ TEST(EngineTest, SessionCarriesMultipleUpdatesBothWays) {
   a.prime_neighbour_demand(1, 1.0, 0.0);
   b.prime_neighbour_demand(0, 1.0, 0.0);
   for (int i = 0; i < 5; ++i) {
-    a.local_write("a" + std::to_string(i), "x", 0.0);
-    b.local_write("b" + std::to_string(i), "y", 0.0);
+    a.local_write(numbered("a", i), "x", 0.0);
+    b.local_write(numbered("b", i), "y", 0.0);
   }
   auto m1 = a.on_session_timer(0.1);
   auto m2 = b.handle(0, m1[0].msg, 0.1);

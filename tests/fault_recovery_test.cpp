@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "core/engine.hpp"
 #include "sim_runtime/sim_network.hpp"
 #include "topology/generators.hpp"
@@ -68,7 +69,7 @@ std::unique_ptr<ChurnRun> run_churn_schedule(std::uint64_t seed,
     const auto node = static_cast<NodeId>(writers.index(r.net.size()));
     const SimTime at = 0.5 + 0.7 * static_cast<double>(i);
     r.issued.push_back(r.net.schedule_write(
-        node, "k" + std::to_string(i), "v" + std::to_string(i), at));
+        node, numbered("k", i), numbered("v", i), at));
   }
 
   r.net.run_until(8.5);  // every write fired; no further crash can occur

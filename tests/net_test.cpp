@@ -18,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "net/cluster.hpp"
 #include "net/soak.hpp"
 #include "net/options.hpp"
@@ -647,7 +648,7 @@ TEST(ServerTest, BackoffGrowsWhilePeerRefusesConnections) {
 
   NetStats net;
   for (int i = 0; i < 200; ++i) {
-    server.write("k" + std::to_string(i), "v");
+    server.write(numbered("k", i), "v");
     net = server.net_stats();
     if (net.connect_failures >= 3) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -989,7 +990,7 @@ TEST(ServerTest, CoalescedWakesLoseNoWrite) {
   constexpr int kBurst = 100;
   constexpr int kKeys = 64;
   const auto key_of = [](int client, int i) {
-    return "c" + std::to_string(client) + "/" + std::to_string(i % kKeys);
+    return numbered(numbered("c", client) + "/", i % kKeys);
   };
   std::vector<std::vector<double>> burst_ms(kClients);
   std::vector<std::thread> clients;
@@ -1316,8 +1317,8 @@ TEST(ServerTest, ReconnectBackoffSchedulesDiverge) {
 
   NetStats na, nb;
   for (int i = 0; i < 400; ++i) {
-    a->write("k" + std::to_string(i), "v");
-    b->write("k" + std::to_string(i), "v");
+    a->write(numbered("k", i), "v");
+    b->write(numbered("k", i), "v");
     na = a->net_stats();
     nb = b->net_stats();
     if (na.connect_failures >= 4 && nb.connect_failures >= 4) break;
@@ -1358,7 +1359,7 @@ TEST(ServerTest, GracefulStopRecoversWithZeroWalReplay) {
     ReplicaServer server(cfg);
     server.start();
     for (int i = 0; i < 20; ++i) {
-      server.write("k" + std::to_string(i), "v" + std::to_string(i));
+      server.write(numbered("k", i), numbered("v", i));
     }
     // Wait until the writes are applied (and thus WAL-bound).
     for (int i = 0; i < 400 && !server.read("k19").has_value(); ++i) {
@@ -1377,6 +1378,50 @@ TEST(ServerTest, GracefulStopRecoversWithZeroWalReplay) {
   EXPECT_EQ(rec.restored_updates, 20u);
   EXPECT_EQ(reborn.read("k7"), "v7");
   reborn.stop();
+}
+
+// Reads `conn` until the peer closes it or `deadline_ms` passes; returns the
+// last read status.
+IoStatus read_until_closed(TcpConnection& conn, int deadline_ms) {
+  std::vector<std::uint8_t> bytes;
+  IoStatus status = IoStatus::would_block;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(deadline_ms);
+  while (status != IoStatus::closed && status != IoStatus::error &&
+         std::chrono::steady_clock::now() < deadline) {
+    status = conn.read_available(bytes);
+    if (status == IoStatus::would_block) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  return status;
+}
+
+// stop() closes every connection: an accepted inbound one and the outbound
+// link to a peer both read EOF while the stopped server still exists.
+TEST(ServerTest, StopClosesPeerConnections) {
+  REQUIRE_LOOPBACK();
+  TcpListener peer = TcpListener::bind_loopback(0);
+  ServerConfig cfg;
+  cfg.self = 0;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.protocol.advert_period = 0.25;  // adverts open the outbound link
+  cfg.seconds_per_unit = 0.005;
+  ReplicaServer server(std::move(cfg));
+  server.set_peers({PeerAddress{1, "127.0.0.1", peer.port()}});
+  server.start();
+  std::optional<TcpConnection> outbound = accept_within(peer);
+  ASSERT_TRUE(outbound.has_value());
+  TcpConnection inbound = TcpConnection::connect("127.0.0.1", server.port());
+  for (int i = 0; i < 400 && server.net_stats().inbound_accepted == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.net_stats().inbound_accepted, 1u);
+
+  server.stop();
+  EXPECT_EQ(read_until_closed(inbound, 2000), IoStatus::closed);
+  EXPECT_EQ(read_until_closed(*outbound, 2000), IoStatus::closed);
+  EXPECT_FALSE(server.net_stats().peers[0].connected);
 }
 
 // Live health lifecycle: kill -> peers mark the node suspect then down ->

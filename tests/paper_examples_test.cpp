@@ -11,6 +11,12 @@
 namespace fastcons {
 namespace {
 
+// Records `peer`'s advert as the engine does: resolve the peer (seating a
+// stranger), then write its row.
+void advertise(DemandTable& table, NodeId peer, double demand) {
+  table.set_demand(table.seat(peer), demand);
+}
+
 // Paper §2: "Replica A B C D E / Rate of demand 4 6 3 8 7".
 constexpr double kDemandA = 4, kDemandB = 6, kDemandC = 3, kDemandD = 8,
                  kDemandE = 7;
@@ -57,10 +63,10 @@ TEST(PaperFig3Test, DemandCyclePolicyProducesTheOptimalOrder) {
   // The §2 algorithm applied to B's neighbour table must yield exactly the
   // paper's best-case order D, E, A, C.
   DemandTable table({0, 2, 3, 4});
-  table.update(0, kDemandA);
-  table.update(2, kDemandC);
-  table.update(3, kDemandD);
-  table.update(4, kDemandE);
+  advertise(table, 0, kDemandA);
+  advertise(table, 2, kDemandC);
+  advertise(table, 3, kDemandD);
+  advertise(table, 4, kDemandE);
   DemandCyclePolicy policy(/*resort_each_pick=*/true);
   Rng rng(1);
   std::vector<NodeId> order;
@@ -72,16 +78,16 @@ TEST(PaperFig4Test, DynamicSessionTable) {
   // §4's table: sessions B-D (t=1), B-C' (t=2), B-A' (t=3) once A drops
   // 2 -> 0 and C rises 0 -> 9 after the first session.
   DemandTable table({0 /*A*/, 2 /*C*/, 3 /*D*/});
-  table.update(0, 2.0);
-  table.update(2, 0.0);
-  table.update(3, 13.0);
+  advertise(table, 0, 2.0);
+  advertise(table, 2, 0.0);
+  advertise(table, 3, 13.0);
   DemandCyclePolicy dynamic(/*resort_each_pick=*/true);
   Rng rng(1);
 
   EXPECT_EQ(dynamic.choose(table, 1.0, rng), 3u);  // t=1: B-D
   // Demand shifts (A'=0, C'=9) and the adverts refresh the table.
-  table.update(0, 0.0);
-  table.update(2, 9.0);
+  advertise(table, 0, 0.0);
+  advertise(table, 2, 9.0);
   EXPECT_EQ(dynamic.choose(table, 2.0, rng), 2u);  // t=2: B-C'
   EXPECT_EQ(dynamic.choose(table, 3.0, rng), 0u);  // t=3: B-A'
 }
@@ -91,14 +97,14 @@ TEST(PaperFig4Test, StaticAlgorithmMisroutesAfterShift) {
   // "it would not contribute to carrying consistency to the zones with
   // greatest demand".
   DemandTable table({0, 2, 3});
-  table.update(0, 2.0);
-  table.update(2, 0.0);
-  table.update(3, 13.0);
+  advertise(table, 0, 2.0);
+  advertise(table, 2, 0.0);
+  advertise(table, 3, 13.0);
   DemandCyclePolicy static_policy(/*resort_each_pick=*/false);
   Rng rng(1);
   EXPECT_EQ(static_policy.choose(table, 1.0, rng), 3u);
-  table.update(0, 0.0);
-  table.update(2, 9.0);
+  advertise(table, 0, 0.0);
+  advertise(table, 2, 9.0);
   EXPECT_EQ(static_policy.choose(table, 2.0, rng), 0u);  // stale: A before C'
 }
 
@@ -107,7 +113,7 @@ TEST(PaperSection2Test, DemandTableOrdersByDemand) {
   DemandTable table({0, 1, 2, 3, 4});
   const std::vector<double> demands{kDemandA, kDemandB, kDemandC, kDemandD,
                                     kDemandE};
-  for (NodeId n = 0; n < 5; ++n) table.update(n, demands[n]);
+  for (NodeId n = 0; n < 5; ++n) advertise(table, n, demands[n]);
   EXPECT_EQ(table.by_demand_desc(0.0), (std::vector<NodeId>{3, 4, 1, 0, 2}));
 }
 

@@ -10,6 +10,12 @@
 namespace fastcons {
 namespace {
 
+// Records `peer`'s advert as the engine does: resolve the peer (seating a
+// stranger), then write its row.
+void advertise(DemandTable& table, NodeId peer, double demand) {
+  table.set_demand(table.seat(peer), demand);
+}
+
 DemandTable table_with(const std::map<NodeId, double>& demands) {
   std::vector<NodeId> peers;
   for (const auto& [peer, d] : demands) {
@@ -17,16 +23,22 @@ DemandTable table_with(const std::map<NodeId, double>& demands) {
     peers.push_back(peer);
   }
   DemandTable table(peers);
-  for (const auto& [peer, d] : demands) table.update(peer, d);
+  for (const auto& [peer, d] : demands) advertise(table, peer, d);
   return table;
 }
 
-/// A tracker over `peers`, all last heard at t=0. With the default
-/// HealthConfig a peer silent for down_after (4.0) or longer is down.
-PeerHealthTracker health_for(const std::vector<NodeId>& peers) {
+/// Enabled health with the default HealthConfig: a peer silent for
+/// down_after (4.0) or longer is down. Every row is last heard at t=0.
+PeerHealthTracker enabled_health() {
   HealthConfig cfg;
   cfg.enabled = true;
-  return PeerHealthTracker(peers, cfg, 0.0);
+  return PeerHealthTracker(cfg);
+}
+
+/// Records a message from neighbour `peer` at `now`.
+void hear(DemandTable& table, NodeId peer, SimTime now,
+          const PeerHealthTracker& health) {
+  table.record_contact(table.slot_of(peer), now, health);
 }
 
 TEST(RandomPolicyTest, ReturnsOnlyNeighbours) {
@@ -70,25 +82,30 @@ TEST(RandomPolicyTest, EmptyTableReturnsInvalid) {
 TEST(RandomPolicyTest, SkipsDeadNeighbours) {
   RandomPolicy policy;
   Rng rng(5);
-  const DemandTable table = table_with({{1, 1.0}, {2, 0.0}});
-  PeerHealthTracker health = health_for({1, 2});
-  health.record_contact(1, 5.0);  // 2 silent since t=0: down at t=5
+  DemandTable table = table_with({{1, 1.0}, {2, 0.0}});
+  const PeerHealthTracker health = enabled_health();
+  hear(table, 1, 5.0, health);  // 2 silent since t=0: down at t=5
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(policy.choose(table, 5.0, rng, &health), 1u);
   }
 }
 
 TEST(RandomPolicyTest, DrawsAsIndexingTheAliveList) {
-  // The pick must equal alive()[rng.index(alive().size())] draw for draw,
-  // with every neighbour up and with some down: the simulated digests
-  // depend on it.
+  // The pick must equal alive[rng.index(alive.size())] draw for draw, where
+  // alive lists the eligible neighbours in registration order, with every
+  // neighbour up and with some down: the simulated digests depend on it.
   RandomPolicy policy;
   const std::vector<NodeId> peers{4, 9, 1, 7, 3, 8, 2};
-  const DemandTable table(peers);
-  PeerHealthTracker health = health_for(peers);
-  for (const NodeId peer : {4, 1, 3, 2}) health.record_contact(peer, 5.0);
+  DemandTable table(peers);
+  const PeerHealthTracker health = enabled_health();
+  for (const NodeId peer : {4, 1, 3, 2}) hear(table, peer, 5.0, health);
   for (const SimTime now : {0.5, 5.5}) {
-    const std::vector<NodeId> alive = table.alive(now, &health);
+    std::vector<NodeId> alive;
+    for (const NodeId peer : peers) {
+      if (DemandTable::eligible(table.row(table.slot_of(peer)), now, &health)) {
+        alive.push_back(peer);
+      }
+    }
     ASSERT_EQ(alive.size(), now < 1.0 ? 7u : 4u);
     Rng rng(6);
     Rng reference(6);
@@ -119,8 +136,8 @@ TEST(DemandCyclePolicyTest, DynamicResortsMidCycle) {
   Rng rng(7);
   DemandTable table = table_with({{0 /*A*/, 2.0}, {2 /*C*/, 0.0}, {3 /*D*/, 13.0}});
   EXPECT_EQ(policy.choose(table, 0.0, rng), 3u);  // B-D
-  table.update(0, 0.0);                      // A'
-  table.update(2, 9.0);                      // C'
+  advertise(table, 0, 0.0);                      // A'
+  advertise(table, 2, 9.0);                      // C'
   EXPECT_EQ(policy.choose(table, 1.0, rng), 2u);  // B-C'
   EXPECT_EQ(policy.choose(table, 2.0, rng), 0u);  // B-A'
 }
@@ -132,8 +149,8 @@ TEST(DemandCyclePolicyTest, StaticIgnoresMidCycleChanges) {
   Rng rng(8);
   DemandTable table = table_with({{0 /*A*/, 2.0}, {2 /*C*/, 0.0}, {3 /*D*/, 13.0}});
   EXPECT_EQ(policy.choose(table, 0.0, rng), 3u);  // B-D
-  table.update(0, 0.0);
-  table.update(2, 9.0);
+  advertise(table, 0, 0.0);
+  advertise(table, 2, 9.0);
   EXPECT_EQ(policy.choose(table, 1.0, rng), 0u);  // still A (stale order)
   EXPECT_EQ(policy.choose(table, 2.0, rng), 2u);  // then C
 }
@@ -145,8 +162,8 @@ TEST(DemandCyclePolicyTest, StaticRefreezesAfterFullCycle) {
   EXPECT_EQ(policy.choose(table, 0.0, rng), 1u);
   EXPECT_EQ(policy.choose(table, 0.0, rng), 2u);
   // Demand flips; the next cycle must see the new order.
-  table.update(1, 0.0);
-  table.update(2, 9.0);
+  advertise(table, 1, 0.0);
+  advertise(table, 2, 9.0);
   EXPECT_EQ(policy.choose(table, 1.0, rng), 2u);
 }
 
@@ -170,29 +187,29 @@ TEST(DemandCyclePolicyTest, AllDeadReturnsInvalid) {
   DemandCyclePolicy policy(true);
   Rng rng(12);
   const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
-  const PeerHealthTracker health = health_for({1, 2});
+  const PeerHealthTracker health = enabled_health();
   EXPECT_EQ(policy.choose(table, 10.0, rng, &health), kInvalidNode);
 }
 
 TEST(DemandCyclePolicyTest, DeadNeighbourSkippedMidCycle) {
   DemandCyclePolicy policy(true);
   Rng rng(13);
-  const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
-  PeerHealthTracker health = health_for({1, 2});
+  DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
+  const PeerHealthTracker health = enabled_health();
   EXPECT_EQ(policy.choose(table, 0.0, rng, &health), 1u);
   // Peer 2 stays silent until it is down; the cycle must not stall on it.
-  health.record_contact(1, 4.0);
+  hear(table, 1, 4.0, health);
   EXPECT_EQ(policy.choose(table, 4.0, rng, &health), 1u);
 }
 
 TEST(DemandCyclePolicyTest, StaticSkipsPeerThatWentDownAfterFreeze) {
   DemandCyclePolicy policy(/*resort_each_pick=*/false);
   Rng rng(15);
-  const DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
-  PeerHealthTracker health = health_for({1, 2});
+  DemandTable table = table_with({{1, 5.0}, {2, 3.0}});
+  const PeerHealthTracker health = enabled_health();
   EXPECT_EQ(policy.choose(table, 0.0, rng, &health), 1u);  // freezes [1, 2]
   // Peer 2 goes down before its turn: the frozen order must not hand it out.
-  health.record_contact(1, 4.0);
+  hear(table, 1, 4.0, health);
   EXPECT_EQ(policy.choose(table, 4.0, rng, &health), 1u);
 }
 

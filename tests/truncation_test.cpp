@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/text.hpp"
 #include "core/engine.hpp"
 #include "sim_runtime/sim_network.hpp"
 #include "topology/generators.hpp"
@@ -104,7 +105,7 @@ TEST(TruncationTest, NetworkConvergesAndLogsStayBounded) {
   SimNetwork net(std::move(g), demand, cfg);
   const std::size_t writes = 40;
   for (std::size_t w = 0; w < writes; ++w) {
-    net.schedule_write(static_cast<NodeId>(w % 8), "k" + std::to_string(w),
+    net.schedule_write(static_cast<NodeId>(w % 8), numbered("k", w),
                        "v", 0.5 + 0.5 * static_cast<double>(w));
   }
   net.run_until(0.5 * static_cast<double>(writes) + 2.0);
