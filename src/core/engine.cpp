@@ -131,6 +131,12 @@ std::vector<OfferedId> ReplicaEngine::apply_all(std::vector<Update>&& updates,
   for (Update& update : updates) {
     if (const Update* stored = log_.apply_moved(std::move(update))) {
       ++stats_.updates_applied;
+      // An own-origin write learned from a peer (this replica was wiped
+      // after issuing it) advances the counter as restore() does, so the
+      // next local write cannot reissue its id.
+      if (stored->id.origin == self_ && stored->id.seq > next_seq_) {
+        next_seq_ = stored->id.seq;
+      }
       gained.push_back(OfferedId{stored->id, stored->created_at});
       if (hooks_.on_delivery) hooks_.on_delivery(*stored, path, now);
     } else {

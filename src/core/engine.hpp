@@ -209,7 +209,8 @@ class ReplicaEngine {
   void set_hooks(EngineHooks hooks) { hooks_ = std::move(hooks); }
 
   /// The origin write counter: sequence numbers 1..write_seq() have been
-  /// issued by this replica's local writes.
+  /// issued by this replica's local writes. Applying an own-origin update
+  /// from a peer moves it past that update's sequence number.
   SeqNo write_seq() const noexcept { return next_seq_; }
 
   /// Restores the origin write counter after a reset. A crash that wipes a

@@ -97,6 +97,12 @@ TrialResult propagation_trial(const SweepPoint& point, std::uint64_t seed,
                               const ProtocolConfig& protocol,
                               const DemandFactory& demand, TrialContext& ctx);
 
+/// propagation_trial with the point's "algo" tag preset (default "fast";
+/// see algorithm_config) and uniform demand: the trial body of every
+/// algorithm-tagged propagation point.
+TrialResult algorithm_propagation_trial(const SweepPoint& point,
+                                        std::uint64_t seed, TrialContext& ctx);
+
 /// The fault configuration a sweep point asks for, or nullopt when the
 /// point has no `fault_*` params at all — pre-existing scenarios take the
 /// nullopt path and their trial behaviour (and digests) cannot change.

@@ -223,4 +223,12 @@ TrialResult propagation_trial(const SweepPoint& point, std::uint64_t seed,
   return out;
 }
 
+TrialResult algorithm_propagation_trial(const SweepPoint& point,
+                                        std::uint64_t seed,
+                                        TrialContext& ctx) {
+  return propagation_trial(point, seed,
+                           algorithm_config(tag_or(point.tags, "algo", "fast")),
+                           uniform_demand(), ctx);
+}
+
 }  // namespace fastcons::harness

@@ -10,13 +10,6 @@
 namespace fastcons::harness {
 namespace {
 
-TrialResult fault_trial(const SweepPoint& point, std::uint64_t seed,
-                        TrialContext& ctx) {
-  return propagation_trial(point, seed,
-                           algorithm_config(tag_or(point.tags, "algo", "fast")),
-                           uniform_demand(), ctx);
-}
-
 /// Appends weak/fast points for one fault regime, paired on `seed_group` so
 /// both algorithms face the same topologies, demands, timer phases and
 /// fault draws trial-for-trial.
@@ -89,7 +82,7 @@ void register_fault_scenarios(ScenarioRegistry& registry) {
   // Smoke shrinks the mesh and the horizon; churn/heal times stay inside
   // the shrunken deadline so every fault class still fires.
   spec.smoke_overrides = {{"n", 24}, {"deadline", 30.0}};
-  spec.run = fault_trial;
+  spec.run = algorithm_propagation_trial;
   registry.add(std::move(spec));
 }
 

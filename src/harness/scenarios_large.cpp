@@ -9,13 +9,6 @@
 namespace fastcons::harness {
 namespace {
 
-TrialResult large_scale_trial(const SweepPoint& point, std::uint64_t seed,
-                              TrialContext& ctx) {
-  return propagation_trial(point, seed,
-                           algorithm_config(tag_or(point.tags, "algo", "fast")),
-                           uniform_demand(), ctx);
-}
-
 /// Appends weak/fast points for one large topology. `seed_group` pairs the
 /// two algorithms on identical random instances per trial index.
 void add_large_points(std::vector<SweepPoint>& sweep, const std::string& label,
@@ -67,7 +60,7 @@ void register_large_scale_scenarios(ScenarioRegistry& registry) {
   // Smoke shrinks every point to toy size; shared_topo stays on for the
   // grids so the sharing path gets CI coverage at every thread count.
   spec.smoke_overrides = {{"n", 48}, {"w", 7}, {"h", 7}, {"deadline", 30.0}};
-  spec.run = large_scale_trial;
+  spec.run = algorithm_propagation_trial;
   registry.add(std::move(spec));
 }
 

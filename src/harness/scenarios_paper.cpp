@@ -245,13 +245,6 @@ std::vector<SweepPoint> ba_algorithm_sweep(std::size_t n, double paper_fast,
   return sweep;
 }
 
-TrialResult figure_cdf_trial(const SweepPoint& point, std::uint64_t seed,
-                             TrialContext& ctx) {
-  return propagation_trial(point, seed,
-                           algorithm_config(tag_or(point.tags, "algo", "fast")),
-                           uniform_demand(), ctx);
-}
-
 }  // namespace
 
 void register_paper_scenarios(ScenarioRegistry& registry) {
@@ -332,7 +325,7 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
     spec.trials = 10000;
     spec.smoke_trials = 6;
     spec.smoke_overrides = {{"n", 12}};
-    spec.run = figure_cdf_trial;
+    spec.run = algorithm_propagation_trial;
     registry.add(std::move(spec));
   }
   {
@@ -348,7 +341,7 @@ void register_paper_scenarios(ScenarioRegistry& registry) {
     spec.trials = 10000;
     spec.smoke_trials = 4;
     spec.smoke_overrides = {{"n", 16}};
-    spec.run = figure_cdf_trial;
+    spec.run = algorithm_propagation_trial;
     registry.add(std::move(spec));
   }
 }

@@ -19,13 +19,6 @@ ParamMap structural_reference(const SweepPoint& point) {
           {"sample_mean_path", mean_path_length(sample)}};
 }
 
-TrialResult uniform_propagation_trial(const SweepPoint& point,
-                                      std::uint64_t seed, TrialContext& ctx) {
-  return propagation_trial(point, seed,
-                           algorithm_config(tag_or(point.tags, "algo", "fast")),
-                           uniform_demand(), ctx);
-}
-
 /// Appends one sweep point per algorithm for a named topology.
 void add_topology_points(std::vector<SweepPoint>& sweep,
                          const std::string& topo_label, const TagMap& topo_tags,
@@ -113,7 +106,7 @@ void register_scaling_scenarios(ScenarioRegistry& registry) {
                         algos);
     spec.trials = 1500;
     spec.smoke_trials = 3;
-    spec.run = uniform_propagation_trial;
+    spec.run = algorithm_propagation_trial;
     registry.add(std::move(spec));
   }
   {
@@ -134,7 +127,7 @@ void register_scaling_scenarios(ScenarioRegistry& registry) {
     }
     spec.trials = 1000;
     spec.smoke_trials = 2;
-    spec.run = uniform_propagation_trial;
+    spec.run = algorithm_propagation_trial;
     spec.derive_reference = structural_reference;
     registry.add(std::move(spec));
   }
@@ -158,7 +151,7 @@ void register_scaling_scenarios(ScenarioRegistry& registry) {
     }
     spec.trials = 1000;
     spec.smoke_trials = 2;
-    spec.run = uniform_propagation_trial;
+    spec.run = algorithm_propagation_trial;
     spec.derive_reference = structural_reference;
     registry.add(std::move(spec));
   }

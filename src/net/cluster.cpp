@@ -58,6 +58,7 @@ LocalCluster::LocalCluster(const Graph& topology, ClusterConfig config)
     peer_tables_.push_back(peers);
     servers_[n]->set_peers(std::move(peers));
   }
+  killed_write_seq_.assign(topology.size(), 0);
 }
 
 LocalCluster::~LocalCluster() { stop(); }
@@ -91,6 +92,7 @@ void LocalCluster::kill(NodeId n) {
   // Crash semantics: no final checkpoint, so a durable restart exercises
   // real WAL replay instead of the graceful-stop fast path.
   servers_[n]->crash_stop();
+  killed_write_seq_[n] = servers_[n]->write_seq();
   servers_[n].reset();
 }
 
@@ -106,6 +108,7 @@ void LocalCluster::restart(NodeId n, RestartMode mode) {
   }
   servers_[n] = std::make_unique<ReplicaServer>(configs_[n]);
   servers_[n]->set_peers(peer_tables_[n]);
+  servers_[n]->resume_write_seq(killed_write_seq_[n]);
   if (started_) servers_[n]->start();
 }
 

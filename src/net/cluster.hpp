@@ -93,8 +93,9 @@ class LocalCluster {
 
   /// Fault hook: stops and destroys server `n` — its TCP connections drop,
   /// peers fall into reconnect backoff, and all its in-memory replica state
-  /// is gone (a live crash is always a wipe). The slot stays reserved;
-  /// server(n) must not be called until restart(n).
+  /// is gone (a live crash is always a wipe) except its origin write
+  /// counter, which restart(n) hands to the replacement. The slot stays
+  /// reserved; server(n) must not be called until restart(n).
   void kill(NodeId n);
 
   /// Rebuilds server `n` from its original config on its original port
@@ -103,6 +104,8 @@ class LocalCluster {
   /// the node's pre-kill state from its checkpoint + WAL and catches up
   /// the rest via demand-ordered anti-entropy; RestartMode::wipe (or a
   /// non-durable cluster) brings it back empty for peers to repopulate.
+  /// Either way the node resumes its origin write counter, so it never
+  /// reissues the id of a write it made before the kill.
   /// The node must currently be killed.
   void restart(NodeId n, RestartMode mode = RestartMode::recover);
 
@@ -158,6 +161,9 @@ class LocalCluster {
   /// node originally learned) and its peer table.
   std::vector<ServerConfig> configs_;
   std::vector<std::vector<PeerAddress>> peer_tables_;
+  /// Origin write counter of each killed server at kill(n), resumed by
+  /// restart(n).
+  std::vector<SeqNo> killed_write_seq_;
   double seconds_per_unit_ = 0.05;
   bool started_ = false;
 };

@@ -96,6 +96,13 @@ void ReplicaServer::start() {
   }
   {
     const MutexLock lock(engine_mutex_);
+    // The origin write counter is identity, not data: it outlives the
+    // previous engine (stop()/start()) and a replaced server
+    // (resume_write_seq), even when the state itself is lost, or this
+    // origin would reissue ids its peers still hold.
+    if (engine_ != nullptr) {
+      kept_write_seq_ = std::max(kept_write_seq_, engine_->write_seq());
+    }
     engine_ = std::make_unique<ReplicaEngine>(config_.self,
                                               std::move(neighbour_ids),
                                               config_.protocol,
@@ -138,6 +145,9 @@ void ReplicaServer::start() {
       hooks.on_delivery = [this](const Update& update, DeliveryPath,
                                  SimTime) { wal_buffer_.pending.push_back(update); };
       engine_->set_hooks(std::move(hooks));
+    }
+    if (engine_->write_seq() < kept_write_seq_) {
+      engine_->restore_write_seq(kept_write_seq_);
     }
     epoch_ = std::chrono::steady_clock::now();
     next_session_units_ =
@@ -241,6 +251,16 @@ std::uint64_t ReplicaServer::kv_digest() const {
   const MutexLock lock(engine_mutex_);
   if (engine_ == nullptr) return 0;
   return engine_->log().kv_digest();
+}
+
+SeqNo ReplicaServer::write_seq() const {
+  const MutexLock lock(engine_mutex_);
+  return engine_ != nullptr ? engine_->write_seq() : kept_write_seq_;
+}
+
+void ReplicaServer::resume_write_seq(SeqNo seq) {
+  const MutexLock lock(engine_mutex_);
+  kept_write_seq_ = std::max(kept_write_seq_, seq);
 }
 
 NetStats ReplicaServer::net_stats() const {

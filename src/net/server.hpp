@@ -238,6 +238,15 @@ class ReplicaServer {
   /// digests mean equal recovered state (crash-consistency checks).
   std::uint64_t kv_digest() const EXCLUDES(engine_mutex_);
 
+  /// The origin write counter (ReplicaEngine::write_seq) of the running
+  /// engine or, after stop(), of the last one.
+  SeqNo write_seq() const EXCLUDES(engine_mutex_);
+  /// Makes the next start() resume the origin write counter at `seq` or
+  /// later: how a server that replaces a killed one keeps its identity
+  /// (LocalCluster::restart). start() already keeps the counter across
+  /// this server's own stop()/start().
+  void resume_write_seq(SeqNo seq) EXCLUDES(engine_mutex_);
+
  private:
   /// A value the loop thread alone writes and any thread may read. Relaxed
   /// loads and stores suffice: with one writer an increment needs no
@@ -378,6 +387,8 @@ class ReplicaServer {
   /// below if some neighbours stay silent (they may be down too).
   bool catchup_pending_ GUARDED_BY(engine_mutex_) = false;
   double catchup_seed_deadline_ GUARDED_BY(engine_mutex_) = 0.0;
+  /// Floor for the next engine's origin write counter (see start()).
+  SeqNo kept_write_seq_ GUARDED_BY(engine_mutex_) = 0;
 
   /// Updates applied since the last WAL flush. Filled by the engine's
   /// on_delivery hook, which only ever fires inside engine_->... calls made

@@ -37,13 +37,7 @@ void SimNetwork::reset(std::shared_ptr<const Graph> graph,
                        SimConfig config) {
   sim_.reset();
   overlay_latency_.clear();
-  holding_count_.clear();
-  summary_revision_ = 0;
-  consistent_revision_ = ~std::uint64_t{0};
-  consistent_cache_ = false;
   on_delivery = nullptr;
-  on_crash = nullptr;
-  on_restart = nullptr;
   // first_seen_ inner vectors keep their capacity for the surviving nodes;
   // wire() resizes the outer vector to the new node count.
   for (auto& seen : first_seen_) seen.clear();
@@ -80,8 +74,6 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
   build_link_index();
   first_seen_.resize(n);
   planned_writes_.assign(n, 0);
-  node_applied_.assign(n, 0);
-  node_digest_.assign(n, 0);
   for (NodeId node = 0; node < n; ++node) {
     // The engine copies the ids out of this scratch list, so one buffer
     // serves every node of every trial.
@@ -128,28 +120,14 @@ void SimNetwork::install_delivery_hook(NodeId node) {
   EngineHooks hooks;
   hooks.on_delivery = [this, node](const Update& u, DeliveryPath path,
                                    SimTime now) {
-    // Any application may change this node's summary — including one the
-    // tracker already counted before a crash wiped the node. The revision
-    // only keys the all_consistent() cache, so bumping it unconditionally
-    // is digest-neutral; skipping it would leave a stale "inconsistent"
-    // verdict cached while a wiped node re-applies old updates.
-    ++summary_revision_;
+    // A wiped node re-applying an update it held before the crash is not a
+    // first delivery: the record keeps the original time.
     auto& seen = first_seen_[node];
     const auto it = std::lower_bound(
         seen.begin(), seen.end(), u.id,
         [](const auto& entry, UpdateId id) { return entry.first < id; });
     if (it == seen.end() || it->first != u.id) {
       seen.emplace(it, u.id, now);
-      const auto hold = std::lower_bound(
-          holding_count_.begin(), holding_count_.end(), u.id,
-          [](const auto& entry, UpdateId id) { return entry.first < id; });
-      if (hold != holding_count_.end() && hold->first == u.id) {
-        ++hold->second;
-      } else {
-        holding_count_.emplace(hold, u.id, 1);
-      }
-      ++node_applied_[node];
-      node_digest_[node] ^= UpdateIdHash{}(u.id);
       if (on_delivery) on_delivery(node, u, path, now);
     }
   };
@@ -255,20 +233,16 @@ void SimNetwork::crash_tick(NodeId node) {
     engines_[node].reset(node, scratch_neighbours_, config_.protocol,
                          outcome.wipe_seed);
     engines_[node].restore_write_seq(write_seq);
+    // Overlay neighbours are graph-external and are not restored: the
+    // faults family runs on plain topologies.
     install_delivery_hook(node);
-    // The wiped summary changed without a delivery; drop the cached
-    // all_consistent() verdict. (Overlay neighbours are graph-external and
-    // are not restored — the faults family runs on plain topologies.)
-    ++summary_revision_;
   }
-  if (on_crash) on_crash(node, outcome.wipe, sim_.now());
   sim_.schedule_in(outcome.downtime, [this, node] { restart_tick(node); });
 }
 
 void SimNetwork::restart_tick(NodeId node) {
-  const bool wiped = config_.faults.wipe_on_restart;
   const std::optional<double> next_gap = faults_.on_restart(node, sim_.now());
-  if (wiped) {
+  if (config_.faults.wipe_on_restart) {
     // Re-prime the reborn engine's demand knowledge like wire() does at
     // t=0; a retained engine kept its tables.
     refresh_own_demand(node);
@@ -279,7 +253,6 @@ void SimNetwork::restart_tick(NodeId node) {
       }
     }
   }
-  if (on_restart) on_restart(node, wiped, sim_.now());
   if (next_gap) {
     sim_.schedule_in(*next_gap, [this, node] { crash_tick(node); });
   }
@@ -408,13 +381,20 @@ void SimNetwork::run_until(SimTime t) { sim_.run_until(t); }
 
 bool SimNetwork::run_until_update_everywhere(UpdateId id, SimTime deadline) {
   // Step in slices so we can stop as soon as coverage is complete without
-  // draining the (endless) timer queue.
+  // draining the (endless) timer queue. A first delivery is never forgotten
+  // within a trial, so each check resumes at the first node the previous
+  // one found without `id`: O(n) lookups per trial in total.
   const SimTime slice = 0.1;
+  NodeId missing = 0;
+  const auto covered = [&] {
+    while (missing < size() && first_delivery(missing, id)) ++missing;
+    return missing == size();
+  };
   while (sim_.now() < deadline) {
-    if (nodes_holding(id) == size()) return true;
+    if (covered()) return true;
     sim_.run_until(std::min(deadline, sim_.now() + slice));
   }
-  return nodes_holding(id) == size();
+  return covered();
 }
 
 bool SimNetwork::run_until_consistent(SimTime deadline, SimTime check_every) {
@@ -427,38 +407,18 @@ bool SimNetwork::run_until_consistent(SimTime deadline, SimTime check_every) {
 }
 
 bool SimNetwork::all_consistent() const {
-  if (engines_.size() <= 1) return true;
-  if (consistent_revision_ == summary_revision_) return consistent_cache_;
-  // Cheap screen: equal applied counts and equal id digests. Different
-  // counts or digests prove different summaries; a match is only probable,
-  // so it is confirmed by the full comparison below.
-  bool result = true;
   for (std::size_t n = 1; n < engines_.size(); ++n) {
-    if (node_applied_[n] != node_applied_[0] ||
-        node_digest_[n] != node_digest_[0]) {
-      result = false;
-      break;
-    }
+    if (!(engines_[n].summary() == engines_[0].summary())) return false;
   }
-  if (result) {
-    for (std::size_t n = 1; n < engines_.size(); ++n) {
-      if (!(engines_[n].summary() == engines_[0].summary())) {
-        result = false;
-        break;
-      }
-    }
-  }
-  consistent_revision_ = summary_revision_;
-  consistent_cache_ = result;
-  return result;
+  return true;
 }
 
 std::size_t SimNetwork::nodes_holding(UpdateId id) const {
-  const auto it = std::lower_bound(
-      holding_count_.begin(), holding_count_.end(), id,
-      [](const auto& entry, UpdateId key) { return entry.first < key; });
-  if (it == holding_count_.end() || it->first != id) return 0;
-  return it->second;
+  std::size_t holding = 0;
+  for (NodeId n = 0; n < size(); ++n) {
+    if (first_delivery(n, id)) ++holding;
+  }
+  return holding;
 }
 
 std::optional<SimTime> SimNetwork::first_delivery(NodeId n, UpdateId id) const {

@@ -69,7 +69,7 @@ class SimNetwork {
   /// Rewires this instance as if freshly constructed with the given
   /// arguments — observationally identical, RNG streams included — while
   /// retaining slab slots, heap storage, engine log/kv/session capacity
-  /// and the convergence tracker's arrays. A pooled network therefore runs
+  /// and the first-delivery record's arrays. A pooled network therefore runs
   /// steady-state trials allocation-free outside first touch. Overlay
   /// links and the delivery observer are cleared.
   void reset(Graph graph, std::shared_ptr<const DemandModel> demand,
@@ -95,19 +95,18 @@ class SimNetwork {
   /// Runs the simulation until the given absolute time.
   void run_until(SimTime t);
 
-  /// Runs until every node holds `id` or `deadline` passes. Returns whether
-  /// full coverage was reached.
+  /// Runs until every node has applied `id` at least once or `deadline`
+  /// passes. Returns whether full coverage was reached. Coverage is read
+  /// from the first-delivery record, which a wipe does not erase.
   bool run_until_update_everywhere(UpdateId id, SimTime deadline);
 
   /// Runs until all summaries are equal (checked every `check_every`) or
   /// deadline. Returns whether convergence was reached.
   bool run_until_consistent(SimTime deadline, SimTime check_every = 0.5);
 
-  /// True when every engine's summary equals every other's. Incremental:
-  /// every delivery bumps a revision counter and folds the update id into a
-  /// per-node digest, so the common cases — nothing changed since the last
-  /// check, or counts/digests disagree — cost O(1)/O(n); the full summary
-  /// comparison only runs when every digest matches.
+  /// True when every engine's summary equals node 0's. Compares the
+  /// summaries themselves, so a write wiped from every replica counts as
+  /// agreed-on absence, not as divergence.
   bool all_consistent() const;
 
   /// Events executed by the underlying simulator so far.
@@ -115,6 +114,8 @@ class SimNetwork {
     return sim_.events_executed();
   }
 
+  /// Nodes that have applied `id` at least once (a count over the
+  /// first-delivery record; a wipe does not lower it).
   std::size_t nodes_holding(UpdateId id) const;
 
   /// Time node `n` first applied `id` (any path), if it has.
@@ -142,13 +143,8 @@ class SimNetwork {
   const FaultStats& fault_stats() const noexcept { return faults_.stats(); }
 
   /// Optional observer invoked on every first-time delivery at any node.
+  /// Cleared by reset().
   std::function<void(NodeId, const Update&, DeliveryPath, SimTime)> on_delivery;
-
-  /// Optional observer invoked when a node crashes (`wiped` = its state was
-  /// reset at that instant) and when it restarts. Cleared by reset(), like
-  /// on_delivery.
-  std::function<void(NodeId, bool wiped, SimTime)> on_crash;
-  std::function<void(NodeId, bool wiped, SimTime)> on_restart;
 
  private:
   /// Shared tail of construction and reset(): validates the arguments,
@@ -172,8 +168,8 @@ class SimNetwork {
   /// Applies a client write at `node`, deferring past any crash the node is
   /// currently in (re-scheduled for the restart instant).
   void perform_write(NodeId node, std::string key, std::string value);
-  /// (Re)installs the delivery hook that feeds first_seen_/holding_count_
-  /// and the convergence tracker; also used after a crash wipes an engine.
+  /// (Re)installs the delivery hook that feeds first_seen_ and
+  /// on_delivery; also used after a crash wipes an engine.
   void install_delivery_hook(NodeId node);
   /// Schedules deliveries for `outs`, moving each message into its event;
   /// the vector's elements are consumed but the vector itself is the
@@ -215,22 +211,12 @@ class SimNetwork {
   std::unordered_map<std::uint64_t, double> overlay_latency_;
 
   // first_seen_[n]: (update id, first application time) at node n, sorted
-  // by id. Flat vectors: a trial touches few ids per node, and hash tables
-  // here cost a bucket-array allocation per node per trial.
+  // by id — the runtime's one record of deliveries; coverage is derived
+  // from it. Kept across a wipe: it records what reached a node, not what
+  // the node still holds. Flat vectors: a trial touches few ids per node,
+  // and hash tables here cost a bucket-array allocation per node per trial.
   std::vector<std::vector<std::pair<UpdateId, SimTime>>> first_seen_;
-  // (update id, nodes holding it), sorted by id.
-  std::vector<std::pair<UpdateId, std::size_t>> holding_count_;
   std::vector<SeqNo> planned_writes_;
-
-  // Incremental convergence tracker: per-node count and order-independent
-  // digest of applied update ids (a node's summary is exactly the set of
-  // updates its delivery hook has seen), plus a global revision so repeated
-  // all_consistent() polls between deliveries are free.
-  std::vector<std::uint64_t> node_applied_;
-  std::vector<std::uint64_t> node_digest_;
-  std::uint64_t summary_revision_ = 0;
-  mutable std::uint64_t consistent_revision_ = ~std::uint64_t{0};
-  mutable bool consistent_cache_ = false;
 
   // Reused output buffer for engine entry points: one delivery never nests
   // inside another (follow-up traffic goes through scheduled events), so a

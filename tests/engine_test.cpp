@@ -489,6 +489,22 @@ TEST(EngineTest, DeliveryHookFiresOncePerUpdate) {
   EXPECT_EQ(b.stats().duplicate_updates, 1u);
 }
 
+TEST(EngineTest, LearnedOwnWriteAdvancesWriteCounter) {
+  // Node 1 lost its state (and counter) after issuing writes 1..3; a peer
+  // hands two of them back. The next local write must not reissue an id
+  // the network already holds.
+  ReplicaEngine b(1, {2}, fast_config(), 1);
+  const Update third{UpdateId{1, 3}, 0.0, "k3", "v3"};
+  const Update first{UpdateId{1, 1}, 0.0, "k1", "v1"};
+  b.handle(2, Message{FastData{1, {third, first}}}, 0.0);
+  EXPECT_EQ(b.write_seq(), 3u);  // the older id does not move it back
+  b.local_write("k4", "v4", 0.1);
+  EXPECT_EQ(b.write_seq(), 4u);
+  EXPECT_TRUE(b.log().contains(UpdateId{1, 4}));
+  EXPECT_EQ(b.read("k3"), "v3");
+  EXPECT_EQ(b.read("k4"), "v4");
+}
+
 TEST(EngineTest, CountersTrackClassesAndBytes) {
   ReplicaEngine b(1, {3}, fast_config(), 1);
   b.set_own_demand(1.0);

@@ -1259,6 +1259,84 @@ TEST(ClusterTest, RestartModePinsRecoverVersusWipe) {
   EXPECT_EQ(value, "v");
 }
 
+// A restart that loses a node's state keeps its origin write counter: the
+// reborn node must not reissue the id of a write its peers still hold,
+// whether anti-entropy has already handed that write back or not.
+
+TEST(ClusterTest, WipeRestartedNodeWritesAfterResync) {
+  REQUIRE_LOOPBACK();
+  Rng rng(35);
+  const Graph g = make_line(2, {0.0, 0.0}, rng);
+  ClusterConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.seconds_per_unit = 0.02;
+  cfg.demands = {2.0, 1.0};
+  LocalCluster cluster(g, cfg);
+  cluster.start();
+  cluster.server(1).write("old", "1");
+  ASSERT_TRUE(cluster.wait_for_convergence(10.0, 1));
+
+  cluster.kill(1);
+  cluster.restart(1);
+  // Anti-entropy gives the reborn node its own old write back first.
+  ASSERT_TRUE(cluster.wait_for_convergence(15.0, 1));
+  cluster.server(1).write("new", "2");
+  const bool converged = cluster.wait_for_convergence(15.0, 2);
+  const auto at_peer = cluster.server(0).read("new");
+  const std::uint64_t peer_digest = cluster.server(0).kv_digest();
+  const std::uint64_t reborn_digest = cluster.server(1).kv_digest();
+  const SeqNo write_seq = cluster.server(1).write_seq();
+  cluster.stop();
+  ASSERT_TRUE(converged);
+  EXPECT_EQ(at_peer, "2");
+  EXPECT_EQ(peer_digest, reborn_digest);
+  EXPECT_EQ(write_seq, 2u);
+}
+
+TEST(ClusterTest, WipeRestartedNodeWritesBeforeResync) {
+  REQUIRE_LOOPBACK();
+  Rng rng(36);
+  const Graph g = make_line(2, {0.0, 0.0}, rng);
+  // Node 0's frames are held back until the reborn node has written, so
+  // its old write cannot come back first.
+  auto mute_peer = std::make_shared<std::atomic<bool>>(false);
+  ClusterConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.seconds_per_unit = 0.02;
+  cfg.demands = {2.0, 1.0};
+  cfg.outbound_fault = [mute_peer](NodeId from, NodeId) {
+    return from == 0 && mute_peer->load();
+  };
+  LocalCluster cluster(g, cfg);
+  cluster.start();
+  cluster.server(1).write("old", "1");
+  ASSERT_TRUE(cluster.wait_for_convergence(10.0, 1));
+
+  mute_peer->store(true);
+  cluster.kill(1);
+  cluster.restart(1);
+  cluster.server(1).write("new", "2");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cluster.server(1).read("new").has_value()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(cluster.server(1).read("old").has_value());
+  mute_peer->store(false);
+
+  const bool converged = cluster.wait_for_convergence(15.0, 2);
+  const auto new_at_peer = cluster.server(0).read("new");
+  const auto old_at_reborn = cluster.server(1).read("old");
+  const std::uint64_t peer_digest = cluster.server(0).kv_digest();
+  const std::uint64_t reborn_digest = cluster.server(1).kv_digest();
+  cluster.stop();
+  ASSERT_TRUE(converged);
+  EXPECT_EQ(new_at_peer, "2");
+  EXPECT_EQ(old_at_reborn, "1");
+  EXPECT_EQ(peer_digest, reborn_digest);
+}
+
 TEST(ClusterTest, OutboundFaultShimDropsAndRecovers) {
   REQUIRE_LOOPBACK();
   Rng rng(32);
