@@ -212,26 +212,6 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventChurn)->Arg(1000)->Arg(10000);
 
-void BM_SimulatorScheduleFireCancel(benchmark::State& state) {
-  // The per-event path the simulations actually take: a mix of schedules,
-  // firings and cancellations (half the handles are cancelled before their
-  // time), exercising the slab free list and lazy heap discards.
-  for (auto _ : state) {
-    Simulator sim;
-    std::vector<TimerHandle> handles;
-    handles.reserve(static_cast<std::size_t>(state.range(0)));
-    for (std::int64_t i = 0; i < state.range(0); ++i) {
-      handles.push_back(
-          sim.schedule_at(static_cast<double>(i % 101) + 1.0, [] {}));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 2) sim.cancel(handles[i]);
-    sim.run();
-    benchmark::DoNotOptimize(sim.events_executed());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimulatorScheduleFireCancel)->Arg(1000)->Arg(10000);
-
 void BM_SimulatorDeliveryPayload(benchmark::State& state) {
   // Events that carry a protocol message in their closure, like
   // SimNetwork::dispatch schedules: the capture must stay within EventFn's

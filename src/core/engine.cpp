@@ -259,7 +259,6 @@ void ReplicaEngine::on_session_push(NodeId from, PeerSlot slot, SessionPush m,
   for (const Update& u : reply) known.add(u.id);
   send(out, from, SessionReply{m.session_id, std::move(reply)});
   ++stats_.sessions_responded;
-  if (hooks_.on_session_complete) hooks_.on_session_complete(from, now);
   // Steps 12-13: novel content arrived -> fast update part takes over.
   after_gain(gained, from, DeliveryPath::session, now, out);
 }
@@ -274,7 +273,6 @@ void ReplicaEngine::on_session_reply(NodeId from, PeerSlot slot,
   const std::vector<OfferedId> gained =
       apply_all(std::move(m.updates), DeliveryPath::session, now);
   ++stats_.sessions_completed;
-  if (hooks_.on_session_complete) hooks_.on_session_complete(from, now);
   after_gain(gained, from, DeliveryPath::session, now, out);
 }
 

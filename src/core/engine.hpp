@@ -40,8 +40,6 @@ std::string_view delivery_path_name(DeliveryPath p) noexcept;
 struct EngineHooks {
   /// Fired exactly once per update when it is first applied locally.
   std::function<void(const Update&, DeliveryPath, SimTime)> on_delivery;
-  /// Fired when an anti-entropy session completes at this end.
-  std::function<void(NodeId peer, SimTime)> on_session_complete;
 };
 
 /// A serialisable image of one replica's durable state: everything a

@@ -33,20 +33,7 @@ class EventFn {
   static constexpr bool wraps =
       !std::is_same_v<D, EventFn> && std::is_invocable_r_v<void, D&>;
 
-  template <typename F, typename = std::enable_if_t<wraps<F>>>
-  EventFn(F&& fn) {  // NOLINT(google-explicit-constructor): function-like
-    construct(std::forward<F>(fn));
-  }
-
   EventFn(EventFn&& other) noexcept { move_from(other); }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
 
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;

@@ -31,29 +31,15 @@ std::uint32_t Simulator::free_slot(SimTime when) {
   return free_head_;
 }
 
-TimerHandle Simulator::enqueue(std::uint32_t slot, SimTime when) {
+void Simulator::enqueue(std::uint32_t slot, SimTime when) {
   FASTCONS_EXPECTS(slot == free_head_);
-  Slot& s = slots_[slot];
-  free_head_ = s.next_free;
-  ++live_;
+  free_head_ = slots_[slot].next_free;
   const std::uint64_t seq = next_seq_++;
-  s.pending_seq = seq;
   // -0.0 passes the `when >= now_` check at time 0 but its sign bit would
   // sort it after every positive time.
   if (when == 0.0) when = 0.0;
   heap_push((static_cast<Key>(std::bit_cast<std::uint64_t>(when)) << 64) |
             (seq << kSlotBits) | slot);
-  return TimerHandle{slot, s.generation};
-}
-
-void Simulator::release_slot(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  s.action.reset();
-  s.pending_seq = kNotPending;  // kills the heap entry
-  ++s.generation;               // kills outstanding handles
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_;
 }
 
 // --------------------------------------------------------------------------
@@ -103,39 +89,20 @@ void Simulator::heap_pop_min() noexcept {
   heap[i] = moved;
 }
 
-void Simulator::drop_dead_top() noexcept {
-  while (heap_size_ != 0 && !entry_live(heap_[0])) heap_pop_min();
-}
-
 // --------------------------------------------------------------------------
 // Public interface
 
-TimerHandle Simulator::schedule_at(SimTime when, EventFn&& action) {
-  FASTCONS_EXPECTS(static_cast<bool>(action));
-  const std::uint32_t slot = free_slot(when);
-  slots_[slot].action = std::move(action);
-  return enqueue(slot, when);
-}
-
-bool Simulator::cancel(TimerHandle handle) noexcept {
-  if (!handle.valid()) return false;
-  const std::uint32_t slot = handle.slot();
-  if (slot >= slots_.size()) return false;
-  if (slots_[slot].generation != handle.generation()) return false;
-  release_slot(slot);  // the heap entry dies with the pending seq
-  return true;
-}
-
 bool Simulator::step() {
-  drop_dead_top();
   if (heap_size_ == 0) return false;
   const Key top = heap_[0];
   heap_pop_min();
   const std::uint32_t slot = key_slot(top);
-  // Move the action out and release the slot before invoking: the action
-  // may schedule (reusing this slot) or cancel other events.
-  EventFn action = std::move(slots_[slot].action);
-  release_slot(slot);
+  // Move the action out and free the slot before invoking: the action may
+  // schedule an event into this slot.
+  Slot& s = slots_[slot];
+  EventFn action = std::move(s.action);
+  s.next_free = free_head_;
+  free_head_ = slot;
   now_ = key_time(top);
   ++executed_;
   ++t_events_executed;
@@ -144,9 +111,8 @@ bool Simulator::step() {
 }
 
 std::uint64_t Simulator::run() {
-  stop_requested_ = false;
   std::uint64_t executed = 0;
-  while (!stop_requested_ && step()) ++executed;
+  while (step()) ++executed;
   return executed;
 }
 
@@ -154,32 +120,23 @@ void Simulator::reset() noexcept {
   heap_.clear();
   heap_size_ = 0;
   // Rebuild the free list over every retained slot, releasing pending
-  // closures and invalidating outstanding handles via the generation bump.
-  // Walking backwards leaves slot 0 at the head, matching the order a
-  // fresh slab hands slots out in.
+  // closures. Walking backwards leaves slot 0 at the head, matching the
+  // order a fresh slab hands slots out in.
   free_head_ = kNoFree;
   for (std::size_t i = slots_.size(); i-- > 0;) {
-    Slot& slot = slots_[i];
-    slot.action.reset();
-    slot.pending_seq = kNotPending;
-    ++slot.generation;
-    slot.next_free = free_head_;
+    slots_[i].action.reset();
+    slots_[i].next_free = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);
   }
-  live_ = 0;
   now_ = 0.0;
   next_seq_ = 0;
   executed_ = 0;
-  stop_requested_ = false;
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
   FASTCONS_EXPECTS(deadline >= now_);
-  stop_requested_ = false;
   std::uint64_t executed = 0;
-  while (!stop_requested_) {
-    drop_dead_top();  // make the peek below see a live event
-    if (heap_size_ == 0 || key_time(heap_[0]) > deadline) break;
+  while (heap_size_ != 0 && key_time(heap_[0]) <= deadline) {
     step();
     ++executed;
   }

@@ -12,11 +12,8 @@
 // children to compare, and the sift picks the least of them by selecting
 // pointers, which GCC compiles without a data-dependent branch (see
 // heap_pop_min; docs/performance.md shows how to check the binary).
-// Cancellation is O(1) and allocation-free: it frees the slot, and the
-// orphaned heap entry is discarded when it reaches the top (its seq no
-// longer matches the seq the slot is pending for). Handles carry (slot,
-// generation), so a handle to a fired or cancelled event can never alias a
-// later event that reuses the slot.
+// The queue only schedules and fires: there is no cancellation, so every
+// heap entry is a pending event and the slot it names holds its closure.
 #ifndef FASTCONS_SIM_SIMULATOR_HPP
 #define FASTCONS_SIM_SIMULATOR_HPP
 
@@ -32,27 +29,6 @@
 
 namespace fastcons {
 
-/// Handle returned by schedule(); can cancel the event before it fires.
-class TimerHandle {
- public:
-  TimerHandle() = default;
-
-  bool valid() const noexcept { return raw_ != 0; }
-
- private:
-  friend class Simulator;
-  TimerHandle(std::uint32_t slot, std::uint32_t generation) noexcept
-      : raw_((static_cast<std::uint64_t>(generation) << 32) |
-             (static_cast<std::uint64_t>(slot) + 1)) {}
-  std::uint32_t slot() const noexcept {
-    return static_cast<std::uint32_t>(raw_ & 0xffffffffu) - 1;
-  }
-  std::uint32_t generation() const noexcept {
-    return static_cast<std::uint32_t>(raw_ >> 32);
-  }
-  std::uint64_t raw_ = 0;
-};
-
 /// Single-threaded event-driven simulator.
 ///
 /// The time unit convention is set by the caller; all experiments in this
@@ -66,37 +42,24 @@ class Simulator {
   /// Current simulated time. Starts at 0.
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `when`; `when` must not be in the
-  /// past. Returns a cancellation handle.
-  TimerHandle schedule_at(SimTime when, EventFn&& action);
-
-  /// Same for any other callable: the closure is built once, in its slab
-  /// slot, instead of being wrapped and then moved there.
+  /// Schedules `fn` at absolute time `when`; `when` must not be in the
+  /// past. The closure is built once, in its slab slot.
   template <typename F, typename = std::enable_if_t<EventFn::wraps<F>>>
-  TimerHandle schedule_at(SimTime when, F&& fn) {
+  void schedule_at(SimTime when, F&& fn) {
     const std::uint32_t slot = free_slot(when);
     slots_[slot].action.emplace(std::forward<F>(fn));
-    return enqueue(slot, when);
+    enqueue(slot, when);
   }
 
-  /// Schedules `action` `delay` from now. `delay` must be >= 0.
-  TimerHandle schedule_in(SimTime delay, EventFn&& action) {
-    FASTCONS_EXPECTS(delay >= 0.0);
-    return schedule_at(now_ + delay, std::move(action));
-  }
-
+  /// Schedules `fn` `delay` from now. `delay` must be >= 0.
   template <typename F, typename = std::enable_if_t<EventFn::wraps<F>>>
-  TimerHandle schedule_in(SimTime delay, F&& fn) {
+  void schedule_in(SimTime delay, F&& fn) {
     FASTCONS_EXPECTS(delay >= 0.0);
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Cancels a pending event. Safe to call on already-fired, cancelled, or
-  /// default-constructed handles; returns whether the event was pending.
-  bool cancel(TimerHandle handle) noexcept;
-
-  /// Runs events until the queue drains or stop() is called. Returns the
-  /// number of events executed.
+  /// Runs events until the queue drains. Returns the number of events
+  /// executed.
   std::uint64_t run();
 
   /// Runs events with time <= `deadline`, then sets now() = deadline (if
@@ -106,19 +69,14 @@ class Simulator {
   /// Executes at most one event. Returns false when the queue is empty.
   bool step();
 
-  /// Requests run()/run_until() to return after the current event.
-  void stop() noexcept { stop_requested_ = true; }
-
   /// Returns the simulator to its freshly-constructed logical state —
   /// time 0, empty queue, zeroed counters — while retaining the slab and
   /// heap storage, so a pooled simulator schedules its next trial's events
   /// without touching the allocator. Every pending event is discarded
-  /// (closure destructors run) and every slot generation is bumped, so
-  /// TimerHandles obtained before the reset can never cancel an event
-  /// scheduled after it.
+  /// (closure destructors run).
   void reset() noexcept;
 
-  std::size_t pending_events() const noexcept { return live_; }
+  std::size_t pending_events() const noexcept { return heap_size_; }
 
   /// Events executed over this simulator's lifetime.
   std::uint64_t events_executed() const noexcept { return executed_; }
@@ -134,41 +92,24 @@ class Simulator {
   static constexpr int kSlotBits = 24;
   static constexpr int kSeqBits = 40;
   static constexpr std::uint32_t kNoFree = 0xffffffffu;
-  static constexpr std::uint64_t kNotPending = ~std::uint64_t{0};
   // Pads the heap past its last entry; no real key is this large (its time
   // bits would be a NaN).
   static constexpr Key kPadKey = ~Key{0};
 
   struct Slot {
     EventFn action;
-    // Seq of the heap entry this slot's event waits in, or kNotPending when
-    // the slot is free; an entry whose seq differs is dead.
-    std::uint64_t pending_seq = kNotPending;
-    // Bumped whenever the slot is released (fire or cancel); handles
-    // recording an older generation are dead.
-    std::uint32_t generation = 0;
     std::uint32_t next_free = kNoFree;
   };
 
   static SimTime key_time(Key key) noexcept {
     return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
   }
-  static std::uint64_t key_seq(Key key) noexcept {
-    return static_cast<std::uint64_t>(key) >> kSlotBits;
-  }
   static std::uint32_t key_slot(Key key) noexcept {
     return static_cast<std::uint32_t>(key) & ((1u << kSlotBits) - 1);
   }
 
-  bool entry_live(Key key) const noexcept {
-    return slots_[key_slot(key)].pending_seq == key_seq(key);
-  }
-
   void heap_push(Key key);
   void heap_pop_min() noexcept;
-  /// Discards cancelled entries at the top; afterwards the heap is empty or
-  /// its top is live.
-  void drop_dead_top() noexcept;
 
   /// Checks `when` and returns the slot the next event will take (the free
   /// list's head, growing the slab when it is empty). The slot stays on the
@@ -177,19 +118,16 @@ class Simulator {
   std::uint32_t free_slot(SimTime when);
   /// Takes `slot` (holding the event's closure) off the free list and
   /// queues it at `when`.
-  TimerHandle enqueue(std::uint32_t slot, SimTime when);
-  void release_slot(std::uint32_t slot) noexcept;
+  void enqueue(std::uint32_t slot, SimTime when);
 
   std::vector<Slot> slots_;
   // heap_[0, heap_size_) is the heap; at least three kPadKey entries follow.
   std::vector<Key> heap_;
   std::size_t heap_size_ = 0;
   std::uint32_t free_head_ = kNoFree;
-  std::size_t live_ = 0;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace fastcons

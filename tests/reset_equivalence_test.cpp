@@ -3,8 +3,8 @@
 // PropagationContext, TrialContext) that is reset between uses must be
 // observationally identical to a freshly constructed one — same results,
 // same RNG draw sequences — for every registered scenario. These tests pin
-// that, plus the handle-safety rules of Simulator::reset, under the normal
-// build and under ASan/UBSan (slab reuse across resets).
+// that under the normal build and under ASan/UBSan (slab reuse across
+// resets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,32 +71,16 @@ TEST(SimulatorReset, DiscardsPendingEventsWithoutFiringThem) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(SimulatorReset, InvalidatesHandlesAcrossReset) {
-  Simulator sim;
-  const TimerHandle stale = sim.schedule_at(1.0, [] {});
-  sim.reset();
-  // The new event reuses the stale handle's slot; the stale handle must
-  // neither cancel it nor report success.
-  bool fired = false;
-  sim.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_FALSE(sim.cancel(stale));
-  sim.run();
-  EXPECT_TRUE(fired);
-}
-
 TEST(SimulatorReset, SlabSurvivesManyResetCycles) {
   // Exercises slot reuse across resets (ASan/UBSan builds watch for stale
-  // closure storage): each cycle schedules into recycled slots, cancels
-  // half, and runs the rest.
+  // closure storage): each cycle schedules into recycled slots and runs
+  // them, or resets with them still pending.
   Simulator sim;
   std::uint64_t total = 0;
   for (int cycle = 0; cycle < 50; ++cycle) {
-    std::vector<TimerHandle> handles;
     for (int i = 0; i < 64; ++i) {
-      handles.push_back(
-          sim.schedule_at(static_cast<double>(i % 7), [&] { ++total; }));
+      sim.schedule_at(static_cast<double>(i % 7), [&] { ++total; });
     }
-    for (std::size_t i = 0; i < handles.size(); i += 2) sim.cancel(handles[i]);
     if (cycle % 3 == 0) {
       sim.reset();  // sometimes reset with events still pending
     } else {
