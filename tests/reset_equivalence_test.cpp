@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -69,6 +71,51 @@ TEST(SimulatorReset, DiscardsPendingEventsWithoutFiringThem) {
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorReset, ReleasesPendingClosures) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  for (int i = 0; i < 3; ++i) sim.schedule_at(1.0, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 4);
+  sim.reset();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+}
+
+TEST(SimulatorReset, ReusedSlabFiresLikeAFreshSimulator) {
+  // A simulator reset mid-run, with slots freed in a scrambled order and
+  // others still pending, fires the same script in the same order at the
+  // same times as a fresh one.
+  using Log = std::vector<std::pair<int, double>>;
+  const auto script = [](Simulator& sim, Log& log) {
+    for (int i = 0; i < 40; ++i) {
+      sim.schedule_at(0.25 * static_cast<double>((i * 7) % 9),
+                      [&sim, &log, i] { log.emplace_back(i, sim.now()); });
+    }
+    sim.run_until(1.0);
+    for (int i = 40; i < 60; ++i) {
+      sim.schedule_in(0.5,
+                      [&sim, &log, i] { log.emplace_back(i, sim.now()); });
+    }
+    sim.run();
+  };
+  Simulator fresh;
+  Log want;
+  script(fresh, want);
+
+  Simulator reused;
+  Log scratch;
+  for (int i = 0; i < 30; ++i) {
+    reused.schedule_at(static_cast<double>((i * 13) % 30),
+                       [&scratch, i] { scratch.emplace_back(i, 0.0); });
+  }
+  reused.run_until(12.0);
+  reused.reset();
+  Log got;
+  script(reused, got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(reused.events_executed(), fresh.events_executed());
 }
 
 TEST(SimulatorReset, SlabSurvivesManyResetCycles) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -125,6 +126,183 @@ TEST(SimulatorTest, TimeNeverGoesBackwards) {
   }
   sim.run();
   EXPECT_TRUE(monotone);
+}
+
+TEST(SimulatorTest, StepOnEmptyQueueChangesNothing) {
+  Simulator sim;
+  sim.schedule_at(1.5, [] {});
+  EXPECT_TRUE(sim.step());
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.now(), 1.5);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, PendingEventsCountsEveryQueuedEvent) {
+  Simulator sim;
+  std::vector<std::size_t> seen;
+  sim.schedule_at(1.0, [&] {
+    seen.push_back(sim.pending_events());  // 2.0 and 3.0 remain
+    sim.schedule_in(0.5, [&] { seen.push_back(sim.pending_events()); });
+    seen.push_back(sim.pending_events());  // the nested event joined them
+  });
+  sim.schedule_at(2.0, [] {});
+  sim.schedule_at(3.0, [] {});
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 2}));
+}
+
+TEST(SimulatorTest, RunCountsNestedEventsAndThenDrains) {
+  Simulator sim;
+  sim.schedule_at(1.0, [&] {
+    sim.schedule_in(1.0, [&] { sim.schedule_in(1.0, [] {}); });
+  });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(sim.now(), 3.0);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+TEST(SimulatorTest, RunUntilRunsEventsScheduledInsideItsWindow) {
+  Simulator sim;
+  std::vector<double> fired;
+  sim.schedule_at(1.0, [&] {
+    fired.push_back(sim.now());
+    sim.schedule_in(0.5, [&] { fired.push_back(sim.now()); });
+    sim.schedule_in(3.0, [&] { fired.push_back(sim.now()); });
+  });
+  EXPECT_EQ(sim.run_until(2.0), 2u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5}));
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5, 4.0}));
+}
+
+TEST(SimulatorTest, NegativeZeroSortsAsZero) {
+  // -0.0 passes the `when >= now()` check at time 0; its sign bit must not
+  // order it after positive times.
+  Simulator sim;
+  std::string log;
+  sim.schedule_at(0.5, [&] { log += 'p'; });
+  sim.schedule_at(0.0, [&] { log += 'a'; });
+  sim.schedule_at(-0.0, [&] { log += 'b'; });
+  sim.schedule_in(-0.0, [&] { log += 'c'; });
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), 0.0);
+  sim.run();
+  EXPECT_EQ(log, "abcp");
+}
+
+TEST(SimulatorTest, FarFutureEventWaitsBehindEarlierOnes) {
+  Simulator sim;
+  std::vector<double> fired;
+  sim.schedule_at(1e300, [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(10.0, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.run_until(100.0), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{10.0, 1e300}));
+  EXPECT_EQ(sim.now(), 1e300);
+}
+
+TEST(SimulatorTest, FiredSlotIsReusedForTheNextEvent) {
+  Simulator sim;
+  // A fires and its slot returns to the free list; B takes that slot and
+  // must fire exactly once, and A must not fire again.
+  int a_fired = 0;
+  int b_fired = 0;
+  sim.schedule_at(1.0, [&] { ++a_fired; });
+  EXPECT_TRUE(sim.step());
+  sim.schedule_at(2.0, [&] { ++b_fired; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(b_fired, 1);
+}
+
+TEST(SimulatorTest, ActionSchedulingIntoItsOwnSlotKeepsItsCaptures) {
+  // The running action's slot is free while it runs, so the first event it
+  // schedules takes that slot. The action was moved out before the call,
+  // so its captures (here a heap-backed string, and a payload too large
+  // for EventFn's inline buffer) must stay intact after that schedule.
+  Simulator sim;
+  struct Big {
+    double data[40] = {};
+  };
+  Big big;
+  big.data[39] = 7.0;
+  const std::string label(64, 'x');
+  std::string seen;
+  double seen_big = 0.0;
+  bool nested_fired = false;
+  sim.schedule_at(1.0, [&, label, big] {
+    sim.schedule_in(1.0, [&] { nested_fired = true; });
+    sim.schedule_in(2.0, [] {});
+    seen = label;
+    seen_big = big.data[39];
+  });
+  sim.run();
+  EXPECT_EQ(seen, label);
+  EXPECT_EQ(seen_big, 7.0);
+  EXPECT_TRUE(nested_fired);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+TEST(SimulatorTest, FiredClosureIsDestroyed) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  sim.schedule_at(1.0, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorTest, ManyEventsInterleavedWithSlotReuse) {
+  // Rounds of scheduling and partial draining recycle slots in a shuffled
+  // order; every event fires once, at its own time.
+  Simulator sim;
+  Rng rng(7);
+  std::size_t scheduled = 0;
+  std::size_t fired = 0;
+  bool on_time = true;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 25; ++i) {
+      const SimTime when = sim.now() + rng.uniform(0.0, 4.0);
+      sim.schedule_at(when, [&, when] {
+        ++fired;
+        if (sim.now() != when) on_time = false;
+      });
+      ++scheduled;
+    }
+    sim.run_until(sim.now() + 2.0);
+    EXPECT_EQ(sim.pending_events(), scheduled - fired);
+  }
+  sim.run();
+  EXPECT_EQ(fired, scheduled);
+  EXPECT_TRUE(on_time);
+}
+
+TEST(SimulatorTest, TieBreakSurvivesSlotReuseChurn) {
+  // Determinism pin: slots freed in a scrambled order are handed out again
+  // in that order, but tied events still fire in insertion order.
+  Simulator sim;
+  for (int i = 0; i < 50; ++i) {
+    sim.schedule_at(static_cast<double>((i * 17) % 50), [] {});
+  }
+  sim.run();
+  std::vector<int> order;
+  const SimTime t = sim.now() + 1.0;
+  for (int i = 0; i < 80; ++i) {
+    sim.schedule_at(t, [&order, i] { order.push_back(i); });
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 80u);
+  for (int i = 0; i < 80; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(SimulatorTest, EventsExecutedCounts) {
